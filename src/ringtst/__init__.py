@@ -43,6 +43,7 @@ from .surfaces import (
     QuadDiffSurface,
     SingularSurfaceError,
     SurfaceEval,
+    SurfaceFactors,
     b_p,
     equivalence_diagnostics,
     evaluate,
@@ -51,6 +52,7 @@ from .surfaces import (
     g_p,
     grad_f,
     sum_difference,
+    surface_factors,
     t_diff,
     t_vec,
 )
@@ -80,6 +82,8 @@ __all__ = [
     "QuadDiffSurface",
     "SingularSurfaceError",
     "SurfaceEval",
+    "SurfaceFactors",
+    "surface_factors",
     "f_eval",
     "grad_f",
     "b_p",

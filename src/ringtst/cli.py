@@ -200,7 +200,7 @@ def cmd_scaling(cfg, out: Path, cfg_hash: str) -> int:
 
 
 def cmd_rate(cfg, out: Path, cfg_hash: str) -> int:
-    from .rates import grid_oracle_rate, rate_estimates
+    from .rates import ORACLE_MAX_BEADS, grid_oracle_rate, rate_estimates
 
     params = _thermo(cfg)
     pot = potential_from_config(cfg["potential"])
@@ -210,11 +210,15 @@ def cmd_rate(cfg, out: Path, cfg_hash: str) -> int:
         pot, spec, d, params, n_samples=cfg["n_samples"], seed=cfg["seed"]
     )
     payload = {"rate_report": dataclasses.asdict(rep)}
-    if cfg["grid_oracle"] and params.bead_count <= 4:
+    if cfg["grid_oracle"] and params.bead_count <= ORACLE_MAX_BEADS:
         payload["grid_oracle"] = {
             "kza_rpmd": grid_oracle_rate("rpmd", pot, spec, d, params),
             "kza_ha": grid_oracle_rate("ha", pot, spec, d, params),
         }
+    elif cfg["grid_oracle"]:
+        reason = f"bead_count {params.bead_count} > {ORACLE_MAX_BEADS}"
+        payload["grid_oracle"] = {"skipped": reason}
+        print(f"warning: grid oracle skipped: {reason}", file=sys.stderr)
     write_json(out / "rate.json", payload, cfg_hash)
     return 3 if rep.divergence_flag else 0
 
@@ -234,23 +238,22 @@ def cmd_ratio_sweep(cfg, out: Path, cfg_hash: str) -> int:
 
 
 def cmd_surface_check(cfg, out: Path, cfg_hash: str) -> int:
-    from .surfaces import b_p, f_eval, g_p, t_vec
+    from .surfaces import f_eval, g_p, surface_factors
 
     params = _thermo(cfg)
     spec = surface_from_config(cfg["surface"])
     rng = np.random.default_rng(cfg["seed"])
     q = rng.standard_normal((1000, params.bead_count))
-    g_link = g_p(spec, q, params, form="link")
+    sf = surface_factors(spec, q, params)
     g_cyc = g_p(spec, q, params, form="cyclic")
-    denom = np.maximum(np.abs(g_link), 1e-300)
-    T = t_vec(spec, q)
+    denom = np.maximum(np.abs(sf.g_p), 1e-300)
     payload = {
         "bead_count": params.bead_count,
         "n_paths": 1000,
-        "max_rel_gp_form_mismatch": float(np.max(np.abs(g_link - g_cyc) / denom)),
-        "max_unit_norm_deviation": float(np.max(np.abs(np.sum(T**2, axis=-1) - 1.0))),
-        "b_p_mean": float(np.mean(b_p(spec, q))),
-        "b_p_std": float(np.std(b_p(spec, q))),
+        "max_rel_gp_form_mismatch": float(np.max(np.abs(sf.g_p - g_cyc) / denom)),
+        "max_unit_norm_deviation": float(np.max(np.abs(np.sum(sf.t_vec**2, axis=-1) - 1.0))),
+        "b_p_mean": float(np.mean(sf.b_p)),
+        "b_p_std": float(np.std(sf.b_p)),
         "f_mean": float(np.mean(f_eval(spec, q))),
     }
     write_json(out / "surface_check.json", payload, cfg_hash)

@@ -105,20 +105,6 @@ def mode_norm_sinusoidal(P, n, amplitude):
     return np.asarray(amplitude, float) * np.asarray(P, float) / np.sqrt(2.0)
 
 
-def gp_fourier_norm(P, n, mode_norm, phi, params: ThermoParams):
-    """g_P for the Fourier-norm surface on an arbitrary path (generic n):
-
-    -(m sin(phi) / beta hbar) sqrt(2 P) sin^2(pi n / P) L_n(q)
-    """
-    a = np.pi * np.asarray(n, float) / np.asarray(P, float)
-    return (
-        -(params.mass * np.sin(phi) / (params.beta * params.hbar))
-        * np.sqrt(2.0 * np.asarray(P, float))
-        * np.sin(a) ** 2
-        * np.asarray(mode_norm, float)
-    )
-
-
 def gp_sinusoidal(P, n, amplitude, phi, params: ThermoParams):
     """g_P on the matching single-mode path (generic n):
 

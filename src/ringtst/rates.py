@@ -24,11 +24,14 @@ from .density import log_rho_ring
 from .params import ThermoParams
 from .paths import free_ring_paths
 from .potentials import Potential
-from .surfaces import Surface, b_p, f_eval, flux_sum, g_p
+from .surfaces import Surface, SurfaceFactors, b_p, f_eval, surface_factors
 
 # log-weight bound beyond which the harmonic-analysis factor counts as
 # divergent at this bead count
 OVERFLOW_GUARD = 700.0
+
+# bead counts beyond which the tensor grid of the oracle is too large
+ORACLE_MAX_BEADS = 4
 
 
 @dataclass(frozen=True)
@@ -104,13 +107,14 @@ def integrand_factors(spec: Surface, q, params: ThermoParams):
 
     F_ha is inf where the log-weight exceeds the overflow guard.
     """
-    F_rpmd = np.sqrt(b_p(spec, q))
-    fs = flux_sum(spec, q)
-    g = g_p(spec, q, params)
-    lw = ha_log_weight(g, params)
+    return _flux_factors(surface_factors(spec, q, params), params)
+
+
+def _flux_factors(sf: SurfaceFactors, params: ThermoParams):
+    lw = ha_log_weight(sf.g_p, params)
     with np.errstate(over="ignore"):
-        F_ha = np.where(lw > OVERFLOW_GUARD, np.inf, np.exp(np.minimum(lw, OVERFLOW_GUARD)) * fs)
-    return F_rpmd, F_ha, lw
+        F_ha = np.where(lw > OVERFLOW_GUARD, np.inf, np.exp(np.minimum(lw, OVERFLOW_GUARD)) * sf.flux_sum)
+    return np.sqrt(sf.b_p), F_ha, lw
 
 
 def _window_estimates(base_w, fdev, F, widths, n_batches):
@@ -251,26 +255,17 @@ def rate_estimates(
     window = window or DeltaWindow()
     rng = np.random.default_rng(seed)
     ens = _draw_ensemble(pot, spec, d, params, n_samples, rng)
-    F_rpmd, F_ha, lw = integrand_factors(spec, ens.q, params)
+    sf = surface_factors(spec, ens.q, params)
+    F_rpmd, F_ha, lw = _flux_factors(sf, params)
     if eta0_mode == "quadrature" and not np.any(lw > OVERFLOW_GUARD):
         # replace the closed-form eta0 factor by direct quadrature
-        g = g_p(spec, ens.q, params)
-        fs = flux_sum(spec, ens.q)
         coef = np.sqrt(
             params.mass * params.bead_count / (2.0 * np.pi * params.beta * params.hbar**2)
         )
-        F_ha = coef * eta0_factor_quadrature(g, params) * fs
+        F_ha = coef * eta0_factor_quadrature(sf.g_p, params) * sf.flux_sum
     return _report_from_factors(
         ens, F_rpmd, F_ha, lw, params, window, n_batches, "mc", eta0_mode, seed
     )
-
-
-def rpmd_tst_rate(pot, spec, d, params, **kw) -> RateReport:
-    return rate_estimates(pot, spec, d, params, **kw)
-
-
-def ha_qtst_rate(pot, spec, d, params, eta0_mode="gaussian_closed_form", **kw) -> RateReport:
-    return rate_estimates(pot, spec, d, params, eta0_mode=eta0_mode, **kw)
 
 
 class GridConvergenceError(RuntimeError):
@@ -297,8 +292,8 @@ def grid_oracle_rate(
     if which not in ("ha", "rpmd"):
         raise ValueError("which must be 'ha' or 'rpmd'")
     P = params.bead_count
-    if P > 4:
-        raise ValueError("grid oracle restricted to P <= 4")
+    if P > ORACLE_MAX_BEADS:
+        raise ValueError(f"grid oracle restricted to P <= {ORACLE_MAX_BEADS}")
 
     def quad(npts):
         sigma = params.hbar * np.sqrt(params.beta / params.mass)
@@ -398,14 +393,14 @@ def divergence_probe(
         q = sinusoidal_path(
             SinusoidalPathSpec(q0=0.0, amplitude=amplitude, mode=P // 2, phase=np.pi / 4), P
         )
-        g = float(g_p(spec, q, pp))
-        lw = float(ha_log_weight(g, pp))
+        sf = surface_factors(spec, q, pp)
+        lw = float(ha_log_weight(sf.g_p, pp))
         rows.append(
             {
                 "P": P,
                 "log_weight": lw,
                 "divergence_flag": lw > OVERFLOW_GUARD,
-                "rpmd_factor": float(np.sqrt(b_p(spec, q))),
+                "rpmd_factor": float(np.sqrt(sf.b_p)),
             }
         )
     return rows

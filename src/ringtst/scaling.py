@@ -14,7 +14,7 @@ from .closed_forms import tdiff_figure, tdiff_figure_amplitude
 from .fitting import fit_power_law
 from .params import ThermoParams
 from .paths import SinusoidalPathSpec, free_ring_paths, sinusoidal_path
-from .surfaces import FourierNormSurface, QuadDiffSurface, b_p, g_p, t_diff
+from .surfaces import FourierNormSurface, QuadDiffSurface, g_p, surface_factors, t_diff
 
 DEFAULT_P_SWEEP = tuple(2**k for k in range(4, 13))  # 16 .. 4096
 STOCHASTIC_P_SWEEP = tuple(2**k for k in range(4, 10))  # 16 .. 512
@@ -239,9 +239,10 @@ def quaddiff_orders(
         spec = QuadDiffSurface(offset=n, phi=phi)
         pp = params.with_beads(P)
         q = free_ring_paths(pp, n_paths, rng)
-        mean_b.append(float(np.mean(b_p(spec, q))))
-        mean_t.append(float(np.mean(np.abs(t_diff(spec, q, k)))))
-        mean_g.append(float(np.mean(np.abs(g_p(spec, q, pp)))))
+        sf = surface_factors(spec, q, pp)
+        mean_b.append(float(np.mean(sf.b_p)))
+        mean_t.append(float(np.mean(np.abs(sf.t_diff(k)))))
+        mean_g.append(float(np.mean(np.abs(sf.g_p))))
     series = {
         "b_p": ScalingSeries.from_points(f"b_p[{n_rule}]", P_list, mean_b),
         "t_diff": ScalingSeries.from_points(f"t_diff[{n_rule}]", P_list, mean_t),

@@ -13,7 +13,10 @@ Three surface families over a P-bead cyclic path q:
   keeping D_n / R(n) of order unity for thermal paths.
 
 All evaluators operate on the last axis, so a batch of paths with shape
-(n_paths, P) is handled in one call.
+(n_paths, P) is handled in one call.  ``surface_factors`` is the one
+evaluator of the gradient-derived quantities (B_P, T, flux sum,
+sum-difference, g_P); ``b_p``, ``t_vec``, ``flux_sum``, ``sum_difference``,
+``t_diff`` and the link form of ``g_p`` are views of it.
 """
 from __future__ import annotations
 
@@ -90,6 +93,10 @@ Surface = CentroidSurface | FourierNormSurface | QuadDiffSurface
 # Relative floor below which the norm term counts as singular.
 _NORM_FLOOR = 1e-12
 
+# Elements per (rows, P) temporary in surface_factors: about 1 MB, so a
+# large batch costs no more scratch memory than one block.
+_BLOCK_ELEMS = 1 << 17
+
 
 def _check(spec: Surface, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
@@ -101,24 +108,34 @@ def _check(spec: Surface, q) -> np.ndarray:
     return q
 
 
+def _rowdot(a, b):
+    """sum_k a_k b_k over the last axis."""
+    return np.einsum("...k,...k->...", a, b)
+
+
+def _mode_basis(P: int, n: int) -> np.ndarray:
+    """(P, 2) columns cos(2 pi n j / P) and sin(2 pi n j / P)."""
+    ang = 2.0 * np.pi * n * np.arange(P) / P
+    return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+
+
 def fourier_mode_norm(q, n: int):
     """L_n(q), computed from the real cosine/sine sums."""
     q = np.asarray(q, dtype=float)
-    P = q.shape[-1]
-    ang = 2.0 * np.pi * n * np.arange(P) / P
-    c = np.sum(np.cos(ang) * q, axis=-1)
-    s = np.sum(np.sin(ang) * q, axis=-1)
-    return np.hypot(c, s)
+    cs = q @ _mode_basis(q.shape[-1], n)
+    return np.hypot(cs[..., 0], cs[..., 1])
 
 
 def quad_diff_norm(q, n: int):
     """D_n(q) = sqrt(sum_j (q_j - q_{j+n})^2)."""
     q = np.asarray(q, dtype=float)
-    return np.sqrt(np.sum((q - np.roll(q, -n, axis=-1)) ** 2, axis=-1))
+    diff = q - np.roll(q, -n, axis=-1)
+    return np.sqrt(_rowdot(diff, diff))
 
 
-def _norm_scale_of(q) -> np.ndarray:
-    return np.maximum(1.0, np.sqrt(np.sum(np.asarray(q, float) ** 2, axis=-1)))
+def _singular(norm, q) -> np.ndarray:
+    """True where the norm term is below the floor relative to max(1, |q|)."""
+    return norm <= _NORM_FLOOR * np.maximum(1.0, np.sqrt(_rowdot(q, q)))
 
 
 def is_singular(spec: Surface, q) -> np.ndarray | bool:
@@ -127,14 +144,11 @@ def is_singular(spec: Surface, q) -> np.ndarray | bool:
     if isinstance(spec, CentroidSurface):
         return np.zeros(q.shape[:-1], dtype=bool) if q.ndim > 1 else False
     if isinstance(spec, FourierNormSurface):
-        if spec.mode == 0 or spec.mode == q.shape[-1]:
-            # degenerate mode: L_n = |sum q_j|, gradient still defined unless zero
-            norm = fourier_mode_norm(q, spec.mode)
-        else:
-            norm = fourier_mode_norm(q, spec.mode)
+        # for mode 0 or P, L_n = |sum q_j|: the gradient is defined unless it is zero
+        norm = fourier_mode_norm(q, spec.mode)
     else:
         norm = quad_diff_norm(q, spec.offset)
-    return norm <= _NORM_FLOOR * _norm_scale_of(q)
+    return _singular(norm, q)
 
 
 def f_eval(spec: Surface, q):
@@ -152,42 +166,122 @@ def f_eval(spec: Surface, q):
 
 
 def grad_f(spec: Surface, q):
-    """Gradient of f with respect to each bead (last axis)."""
+    """Gradient of f with respect to each bead (last axis).
+
+    The norm term is computed once; the singular check reads the same norm.
+    """
     q = _check(spec, q)
     P = q.shape[-1]
     if isinstance(spec, CentroidSurface):
         return np.broadcast_to(1.0 / P, q.shape).copy()
-    if np.any(is_singular(spec, q)):
-        raise SingularSurfaceError("surface norm term vanishes on this path")
     if isinstance(spec, FourierNormSurface):
-        n = spec.mode
-        ang = 2.0 * np.pi * n * np.arange(P) / P
-        c = np.sum(np.cos(ang) * q, axis=-1, keepdims=True)
-        s = np.sum(np.sin(ang) * q, axis=-1, keepdims=True)
-        L = np.hypot(c, s)
+        basis = _mode_basis(P, spec.mode)
+        cs = q @ basis
+        L = np.hypot(cs[..., 0], cs[..., 1])
+        if np.any(_singular(L, q)):
+            raise SingularSurfaceError("surface norm term vanishes on this path")
         # sum_j cos(2 pi n (k - j)/P) q_j = cos(ang_k) C + sin(ang_k) S
-        conv = np.cos(ang) * c + np.sin(ang) * s
-        return np.cos(spec.phi) / P + np.sqrt(2.0) * np.sin(spec.phi) * conv / (P * L)
-    n = spec.offset
-    D = quad_diff_norm(q, n)[..., None]
-    curv = 2.0 * q - np.roll(q, -n, axis=-1) - np.roll(q, n, axis=-1)
-    R = spec.norm_factor(P)
-    return np.cos(spec.phi) / P + np.sin(spec.phi) * curv / (R * D)
+        g = cs @ basis.T
+        g *= np.sqrt(2.0) * np.sin(spec.phi)
+        g /= P * L[..., None]
+    else:
+        n = spec.offset
+        diff = q - np.roll(q, -n, axis=-1)
+        D = np.sqrt(_rowdot(diff, diff))
+        if np.any(_singular(D, q)):
+            raise SingularSurfaceError("surface norm term vanishes on this path")
+        # 2 q_j - q_{j+n} - q_{j-n} = diff_j - diff_{j-n}
+        g = diff - np.roll(diff, n, axis=-1)
+        g *= np.sin(spec.phi)
+        g /= spec.norm_factor(P) * D[..., None]
+    g += np.cos(spec.phi) / P
+    return g
+
+
+def _g_p_coef(params: ThermoParams, P: int) -> float:
+    return params.mass * P / (2.0 * params.beta * params.hbar)
+
+
+@dataclass(frozen=True)
+class SurfaceFactors:
+    """Surface quantities of a path (scalars) or a batch of paths (arrays
+    over the leading axes), all from one gradient evaluation per path.
+
+    b_p:            B_P = sum_k (df/dq_k)^2
+    t_vec:          T_k = (df/dq_k) / sqrt(B_P), same shape as the paths
+    flux_sum:       sum_k (df/dq_k) (T_{k-1} + 2 T_k + T_{k+1}) / 4
+    sum_difference: flux_sum - sqrt(B_P)
+    g_p:            link-form g_P; None when no ThermoParams were given
+    """
+
+    b_p: np.ndarray
+    t_vec: np.ndarray
+    flux_sum: np.ndarray
+    sum_difference: np.ndarray
+    g_p: np.ndarray | None
+
+    def t_diff(self, k: int):
+        """Backward unit-gradient difference T_{k-1} - T_k (cyclic in k)."""
+        P = self.t_vec.shape[-1]
+        return self.t_vec[..., (k - 1) % P] - self.t_vec[..., k % P]
+
+
+def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> SurfaceFactors:
+    """B_P, T, flux sum, sum-difference and link-form g_P of each path.
+
+    One ``grad_f`` call per path, in row blocks of about _BLOCK_ELEMS
+    elements.  With S = sum_k (T_{k+1} - T_k)^2 = 2 (1 - A), where
+    A = sum_k T_k T_{k+1}, the rolled sums re-sum in closed form:
+
+        flux_sum       = sqrt(B_P) (1 + A) / 2 = sqrt(B_P) (1 - S / 4)
+        sum_difference = sqrt(B_P) (A - 1) / 2 = -sqrt(B_P) S / 4
+
+    (S instead of A - 1: no cancellation, and exactly zero for a constant T).
+    g_P = coef sum_k (q_{k+1} - q_k) T_k is a slice dot product plus the
+    wrap-around term, with no rolled copy.
+    """
+    q = _check(spec, q)
+    P = q.shape[-1]
+    lead = q.shape[:-1]
+    flat = q.reshape(-1, P)
+    n = flat.shape[0]
+    T = np.empty((n, P))
+    B, S, link = np.empty(n), np.empty(n), np.empty(n)
+    rows = max(1, _BLOCK_ELEMS // P)
+    for lo in range(0, n, rows):
+        blk = slice(lo, lo + rows)
+        qb, Tb = flat[blk], T[blk]
+        g = grad_f(spec, qb)
+        B[blk] = _rowdot(g, g)
+        if np.any(B[blk] == 0.0):
+            raise SingularSurfaceError("gradient vanishes; T undefined")
+        np.divide(g, np.sqrt(B[blk])[:, None], out=Tb)
+        dT = np.diff(Tb, axis=-1)
+        S[blk] = _rowdot(dT, dT) + (Tb[:, 0] - Tb[:, -1]) ** 2
+        link[blk] = _rowdot(np.diff(qb, axis=-1), Tb[:, :-1]) + (qb[:, 0] - qb[:, -1]) * Tb[:, -1]
+    root = np.sqrt(B)
+    sum_diff = -0.25 * root * S
+
+    def shaped(x):
+        return x.reshape(lead)[()]
+
+    return SurfaceFactors(
+        b_p=shaped(B),
+        t_vec=T.reshape(q.shape),
+        flux_sum=shaped(root + sum_diff),
+        sum_difference=shaped(sum_diff),
+        g_p=None if params is None else shaped(_g_p_coef(params, P) * link),
+    )
 
 
 def b_p(spec: Surface, q):
     """Squared gradient norm B_P = sum_k (df/dq_k)^2."""
-    g = grad_f(spec, q)
-    return np.sum(g**2, axis=-1)
+    return surface_factors(spec, q).b_p
 
 
 def t_vec(spec: Surface, q):
     """Unit-normalized gradient T_k = (df/dq_k) / sqrt(B_P)."""
-    g = grad_f(spec, q)
-    norm = np.sqrt(np.sum(g**2, axis=-1, keepdims=True))
-    if np.any(norm == 0.0):
-        raise SingularSurfaceError("gradient vanishes; T undefined")
-    return g / norm
+    return surface_factors(spec, q).t_vec
 
 
 def g_p(spec: Surface, q, params: ThermoParams, form: str = "link"):
@@ -197,24 +291,23 @@ def g_p(spec: Surface, q, params: ThermoParams, form: str = "link"):
     form='cyclic': (m P / 2 beta hbar) sum_k q_k (T_{k-1} - T_k)
 
     The two are identical by cyclic re-summation; both are provided as a
-    consistency cross-check.
+    consistency cross-check.  The cyclic form normalizes the gradient and
+    rolls T itself, independently of ``surface_factors``.
     """
-    q = _check(spec, q)
-    P = q.shape[-1]
-    T = t_vec(spec, q)
-    coef = params.mass * P / (2.0 * params.beta * params.hbar)
     if form == "link":
-        return coef * np.sum((np.roll(q, -1, axis=-1) - q) * T, axis=-1)
+        return surface_factors(spec, q, params).g_p
     if form == "cyclic":
+        q = _check(spec, q)
+        g = grad_f(spec, q)
+        T = g / np.sqrt(np.sum(g**2, axis=-1, keepdims=True))
+        coef = _g_p_coef(params, q.shape[-1])
         return coef * np.sum(q * (np.roll(T, 1, axis=-1) - T), axis=-1)
     raise ValueError("form must be 'link' or 'cyclic'")
 
 
 def t_diff(spec: Surface, q, k: int):
     """Backward unit-gradient difference T_{k-1} - T_k (cyclic in k)."""
-    T = t_vec(spec, q)
-    P = T.shape[-1]
-    return T[..., (k - 1) % P] - T[..., k % P]
+    return surface_factors(spec, q).t_diff(k)
 
 
 def sum_difference(spec: Surface, q):
@@ -223,18 +316,12 @@ def sum_difference(spec: Surface, q):
     This is exactly the amount by which the smoothed flux sum exceeds
     sqrt(B_P); it vanishes for the centroid surface.
     """
-    g = grad_f(spec, q)
-    T = t_vec(spec, q)
-    lap = np.roll(T, 1, axis=-1) + np.roll(T, -1, axis=-1) - 2.0 * T
-    return 0.25 * np.sum(g * lap, axis=-1)
+    return surface_factors(spec, q).sum_difference
 
 
 def flux_sum(spec: Surface, q):
     """sum_k (df/dq_k) (T_{k-1} + 2 T_k + T_{k+1}) / 4 = sqrt(B_P) + sum_difference."""
-    g = grad_f(spec, q)
-    T = t_vec(spec, q)
-    sm = 0.25 * (np.roll(T, 1, axis=-1) + 2.0 * T + np.roll(T, -1, axis=-1))
-    return np.sum(g * sm, axis=-1)
+    return surface_factors(spec, q).flux_sum
 
 
 @dataclass(frozen=True)
@@ -252,15 +339,14 @@ def evaluate(spec: Surface, q, params: ThermoParams) -> SurfaceEval:
     q = _check(spec, np.asarray(q, dtype=float))
     if q.ndim != 1:
         raise ValueError("evaluate() takes a single path")
-    g = grad_f(spec, q)
-    bp = float(np.sum(g**2))
-    T = g / np.sqrt(bp)
+    sf = surface_factors(spec, q, params)
+    bp = float(sf.b_p)
     return SurfaceEval(
         f_value=float(f_eval(spec, q)),
-        gradient=g,
+        gradient=sf.t_vec * np.sqrt(bp),
         b_p=bp,
-        t_vec=T,
-        g_p=float(g_p(spec, q, params, form="link")),
+        t_vec=sf.t_vec,
+        g_p=float(sf.g_p),
     )
 
 
@@ -316,9 +402,9 @@ def equivalence_diagnostics(family, P_list, params: ThermoParams) -> Diagnostics
         q = np.asarray(q, dtype=float)
         if q.shape != (P,):
             raise ValueError("family returned a path of wrong length")
-        T = t_vec(spec, q)
-        gap = float(np.max(np.abs(np.roll(T, -1) - T)))
-        gp = float(g_p(spec, q, params.with_beads(P)))
+        sf = surface_factors(spec, q, params.with_beads(P))
+        gap = float(np.max(np.abs(np.roll(sf.t_vec, -1) - sf.t_vec)))
+        gp = float(sf.g_p)
         rows.append(
             DiagnosticsRow(
                 bead_count=P,

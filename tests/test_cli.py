@@ -131,3 +131,20 @@ def test_flag_overrides_config(tmp_path):
     cfg.write_text("command: rate\n")
     assert main(["--config", str(cfg), "--command", "momenta-check", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "momenta_check.json").exists()
+
+
+def test_rate_grid_oracle_skipped_beyond_four_beads(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "command: rate\n"
+        "thermo: {bead_count: 8}\n"
+        "potential: {kind: harmonic, omega: 1.0}\n"
+        "surface: {kind: centroid}\n"
+        "n_samples: 2000\n"
+        "grid_oracle: true\n"
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "rate.json").read_text())
+    assert doc["grid_oracle"] == {"skipped": "bead_count 8 > 4"}
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "bead_count 8 > 4" in err[0]

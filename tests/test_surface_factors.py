@@ -1,0 +1,187 @@
+"""surface_factors against the separate rolled-sum definitions, its
+invariants, and the one-gradient-per-path guarantee of its callers."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ringtst import surfaces
+from ringtst.params import ThermoParams
+from ringtst.potentials import Eckart
+from ringtst.rates import integrand_factors, rate_estimates
+from ringtst.scaling import quaddiff_orders
+from ringtst.surfaces import (
+    CentroidSurface,
+    FourierNormSurface,
+    QuadDiffSurface,
+    SingularSurfaceError,
+    g_p,
+    surface_factors,
+)
+
+TOL = 1e-12
+
+
+def reference_factors(spec, q, params):
+    """The definitions written out with one rolled copy per neighbour sum."""
+    q = np.asarray(q, dtype=float)
+    P = q.shape[-1]
+    if isinstance(spec, CentroidSurface):
+        g = np.full(q.shape, 1.0 / P)
+    elif isinstance(spec, FourierNormSurface):
+        ang = 2.0 * np.pi * spec.mode * np.arange(P) / P
+        c = np.sum(np.cos(ang) * q, axis=-1, keepdims=True)
+        s = np.sum(np.sin(ang) * q, axis=-1, keepdims=True)
+        conv = np.cos(ang) * c + np.sin(ang) * s
+        g = np.cos(spec.phi) / P + np.sqrt(2.0) * np.sin(spec.phi) * conv / (P * np.hypot(c, s))
+    else:
+        n = spec.offset
+        D = np.sqrt(np.sum((q - np.roll(q, -n, axis=-1)) ** 2, axis=-1, keepdims=True))
+        curv = 2.0 * q - np.roll(q, -n, axis=-1) - np.roll(q, n, axis=-1)
+        g = np.cos(spec.phi) / P + np.sin(spec.phi) * curv / (spec.norm_factor(P) * D)
+    B = np.sum(g**2, axis=-1)
+    T = g / np.sqrt(B)[..., None]
+    T_prev, T_next = np.roll(T, 1, axis=-1), np.roll(T, -1, axis=-1)
+    coef = params.mass * P / (2.0 * params.beta * params.hbar)
+    return {
+        "b_p": B,
+        "t_vec": T,
+        "flux_sum": np.sum(g * 0.25 * (T_prev + 2.0 * T + T_next), axis=-1),
+        "sum_difference": 0.25 * np.sum(g * (T_prev + T_next - 2.0 * T), axis=-1),
+        "g_p": coef * np.sum((np.roll(q, -1, axis=-1) - q) * T, axis=-1),
+    }
+
+
+def scales(q, params, B):
+    """Bounds on each factor's magnitude: |flux|, |sum-difference| <= 2 sqrt(B_P);
+    |g_P| <= coef |q_{k+1} - q_k| by Cauchy-Schwarz, since |T| = 1."""
+    P = q.shape[-1]
+    coef = params.mass * P / (2.0 * params.beta * params.hbar)
+    dq = np.roll(q, -1, axis=-1) - q
+    return {
+        "b_p": B,
+        "t_vec": np.ones_like(q),
+        "flux_sum": 2.0 * np.sqrt(B),
+        "sum_difference": 2.0 * np.sqrt(B),
+        "g_p": coef * np.sqrt(np.sum(dq**2, axis=-1)),
+    }
+
+
+@st.composite
+def surface_and_paths(draw):
+    P = draw(st.integers(2, 64))
+    phi = draw(st.floats(-1.5, 1.5))
+    kind = draw(st.sampled_from(["centroid", "fourier_norm", "quad_diff"]))
+    if kind == "centroid":
+        spec = CentroidSurface()
+    elif kind == "fourier_norm":
+        spec = FourierNormSurface(mode=draw(st.integers(0, P)), phi=phi)
+    else:
+        spec = QuadDiffSurface(offset=draw(st.integers(1, P - 1)), phi=phi)
+    block = max(1, surfaces._BLOCK_ELEMS // P)
+    rows = draw(st.sampled_from([None, 1, 7, block - 1, block, block + 1, 2 * block + 3]))
+    shape = (P,) if rows is None else (rows, P)
+    seed = draw(st.integers(0, 2**32 - 1))
+    q = 0.7 * np.random.default_rng(seed).standard_normal(shape) + draw(st.floats(-2.0, 2.0))
+    return spec, q, ThermoParams(bead_count=P, beta=draw(st.floats(0.5, 4.0)))
+
+
+def assert_close(name, got, want, scale):
+    got, want, scale = np.asarray(got), np.asarray(want), np.asarray(scale)
+    assert got.shape == want.shape, name
+    err = np.abs(got - want)
+    assert np.all(err <= TOL * scale), f"{name}: worst {np.max(err / scale):.2e} of its scale"
+
+
+@settings(max_examples=60, deadline=None)
+@given(surface_and_paths())
+def test_surface_factors_match_rolled_definitions(case):
+    spec, q, params = case
+    sf = surface_factors(spec, q, params)
+    ref = reference_factors(spec, q, params)
+    sc = scales(q, params, ref["b_p"])
+    for name, want in ref.items():
+        assert_close(name, getattr(sf, name), want, sc[name])
+    k = 3
+    P = q.shape[-1]
+    assert_close("t_diff", sf.t_diff(k), ref["t_vec"][..., (k - 1) % P] - ref["t_vec"][..., k % P], 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(surface_and_paths(), st.integers(1, 63))
+def test_surface_factors_cyclic_invariance(case, shift):
+    spec, q, params = case
+    s = shift % q.shape[-1]
+    base = surface_factors(spec, q, params)
+    moved = surface_factors(spec, np.roll(q, s, axis=-1), params)
+    sc = scales(q, params, base.b_p)
+    for name in ("b_p", "flux_sum", "sum_difference", "g_p"):
+        assert_close(name, getattr(moved, name), getattr(base, name), sc[name])
+    assert_close("t_vec", moved.t_vec, np.roll(base.t_vec, s, axis=-1), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(surface_and_paths())
+def test_link_and_cyclic_g_p_agree(case):
+    spec, q, params = case
+    link = surface_factors(spec, q, params).g_p
+    cyc = g_p(spec, q, params, form="cyclic")
+    B = surface_factors(spec, q).b_p
+    assert_close("g_p", link, cyc, scales(q, params, B)["g_p"])
+
+
+def test_single_path_gives_scalars():
+    spec = QuadDiffSurface(offset=2, phi=0.6)
+    q = np.random.default_rng(0).standard_normal(9)
+    sf = surface_factors(spec, q, ThermoParams(bead_count=9))
+    for x in (sf.b_p, sf.flux_sum, sf.sum_difference, sf.g_p):
+        assert np.ndim(x) == 0
+    assert sf.t_vec.shape == (9,)
+    assert surface_factors(spec, q).g_p is None
+
+
+def test_singular_row_raises_from_any_block():
+    spec = FourierNormSurface(mode=3, phi=0.5)
+    P = 16
+    q = np.random.default_rng(1).standard_normal((3 * (surfaces._BLOCK_ELEMS // P), P))
+    q[-1] = 1.0  # constant path: zero mode norm, in the last block
+    with pytest.raises(SingularSurfaceError):
+        surface_factors(spec, q)
+
+
+@pytest.fixture
+def grad_rows(monkeypatch):
+    """Counts the path rows grad_f is evaluated on."""
+    rows = []
+    inner = surfaces.grad_f
+
+    def counted(spec, q):
+        rows.append(int(np.prod(np.shape(q)[:-1])))
+        return inner(spec, q)
+
+    monkeypatch.setattr(surfaces, "grad_f", counted)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CentroidSurface(), FourierNormSurface(mode=2, phi=0.5), QuadDiffSurface(offset=3, phi=0.7)],
+    ids=["centroid", "fourier", "quaddiff"],
+)
+def test_integrand_factors_one_gradient_per_path(grad_rows, spec):
+    P, n = 32, 3 * (surfaces._BLOCK_ELEMS // 32) + 5
+    q = np.random.default_rng(2).standard_normal((n, P))
+    integrand_factors(spec, q, ThermoParams(bead_count=P))
+    assert sum(grad_rows) == n
+
+
+@pytest.mark.parametrize("eta0_mode", ["gaussian_closed_form", "quadrature"])
+def test_rate_estimates_one_gradient_per_path(grad_rows, eta0_mode):
+    spec = FourierNormSurface(mode=2, phi=0.5)
+    rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=16), n_samples=2000, seed=1, eta0_mode=eta0_mode)
+    assert sum(grad_rows) == 2000
+
+
+def test_quaddiff_orders_one_gradient_per_path(grad_rows):
+    quaddiff_orders("half", P_list=(16, 32, 64), n_paths=500, seed=3)
+    assert sum(grad_rows) == 3 * 500
