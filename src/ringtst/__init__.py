@@ -2,12 +2,7 @@
 dividing surfaces, and the two transition-state-style rate expressions
 built on them, plus scaling sweeps comparing their large-P behavior."""
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("ringtst")
-except PackageNotFoundError:
-    __version__ = "0.0.0"
+__version__ = "0.1.0"
 
 from .density import (
     log_rho_ring,
@@ -15,7 +10,6 @@ from .density import (
     momentum_avg_leading,
     rho_ring,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .params import ThermoParams
 from .paths import SinusoidalPathSpec, cyclic_shift, free_ring_paths, sinusoidal_path
 from .potentials import DoubleWell, Eckart, FreeParticle, Harmonic, Potential
@@ -27,7 +21,6 @@ from .rates import (
     rate_estimates,
     ratio_sweep,
 )
-from .sampling import MoveConfig, SamplerConvergenceError, sample_paths
 from .scaling import (
     ModeSchedule,
     ScalingSeries,
@@ -59,7 +52,6 @@ from .surfaces import (
 
 __all__ = [
     "__version__",
-    "KERNEL_BACKEND",
     "ThermoParams",
     "Potential",
     "FreeParticle",
@@ -74,9 +66,6 @@ __all__ = [
     "rho_ring",
     "momentum_avg_leading",
     "momentum_avg_exact_free",
-    "sample_paths",
-    "MoveConfig",
-    "SamplerConvergenceError",
     "CentroidSurface",
     "FourierNormSurface",
     "QuadDiffSurface",

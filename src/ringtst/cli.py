@@ -1,7 +1,10 @@
 """Command-line front end: validate a config, dispatch, write artifacts.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 run completed
-but produced only divergence diagnostics (artifacts still written).
+Exit codes: 0 success; 2 configuration/validation error, or a numerical
+failure (window extrapolation non-monotone, grid oracle not converged under
+refinement, harmonic-analysis weight overflow on the oracle grid), reported
+as one ``error:`` line on stderr; 3 run completed but produced only
+divergence diagnostics (artifacts still written).
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import yaml
 
 from .params import ThermoParams
 from .potentials import from_config as potential_from_config
+from .rates import GridConvergenceError, WindowExtrapolationError
 from .report import config_sha256, write_csv, write_json
 from .surfaces import surface_from_config
 
@@ -211,10 +215,7 @@ def cmd_rate(cfg, out: Path, cfg_hash: str) -> int:
     )
     payload = {"rate_report": dataclasses.asdict(rep)}
     if cfg["grid_oracle"] and params.bead_count <= ORACLE_MAX_BEADS:
-        payload["grid_oracle"] = {
-            "kza_rpmd": grid_oracle_rate("rpmd", pot, spec, d, params),
-            "kza_ha": grid_oracle_rate("ha", pot, spec, d, params),
-        }
+        payload["grid_oracle"] = grid_oracle_rate(pot, spec, d, params)
     elif cfg["grid_oracle"]:
         reason = f"bead_count {params.bead_count} > {ORACLE_MAX_BEADS}"
         payload["grid_oracle"] = {"skipped": reason}
@@ -321,6 +322,9 @@ def main(argv=None) -> int:
         return _DISPATCH[cfg["command"]](cfg, out, cfg_hash)
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (WindowExtrapolationError, GridConvergenceError, OverflowError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

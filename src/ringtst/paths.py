@@ -106,7 +106,7 @@ def free_ring_paths(
     sigma = np.sqrt(params.beta * params.hbar**2 / (params.mass * P * lam))
     amps = rng.standard_normal((n_samples, P - 1)) * sigma
     q = amps @ basis.T
+    del amps  # with the centroid added in place, only q is left alive
     centroid = np.asarray(centroid, dtype=float)
-    if centroid.ndim == 0:
-        return q + float(centroid)
-    return q + centroid.reshape(-1, 1)
+    q += float(centroid) if centroid.ndim == 0 else centroid.reshape(-1, 1)
+    return q

@@ -1,8 +1,7 @@
 """One-dimensional model potentials with analytic derivatives.
 
-Each potential exposes ``value`` and ``derivative`` (both vectorized over
-numpy arrays) plus a small integer/parameter encoding consumed by the
-compiled sampling kernel.
+Each potential exposes ``value`` and ``derivative``, both vectorized over
+numpy arrays.
 """
 from __future__ import annotations
 
@@ -10,25 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# kernel codes shared with ringtst.kernels backends
-CODE_FREE = 0
-CODE_HARMONIC = 1
-CODE_ECKART = 2
-CODE_DOUBLE_WELL = 3
-
 
 @dataclass(frozen=True)
 class Potential:
-    """Base class; subclasses fill in value/derivative and kernel encoding."""
+    """Base class; subclasses fill in value and derivative."""
 
     def value(self, x):
         raise NotImplementedError
 
     def derivative(self, x):
-        raise NotImplementedError
-
-    def kernel_params(self) -> tuple[int, float, float]:
-        """(code, a, b) triple used by the Metropolis kernels."""
         raise NotImplementedError
 
 
@@ -39,9 +28,6 @@ class FreeParticle(Potential):
 
     def derivative(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
-
-    def kernel_params(self):
-        return (CODE_FREE, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -56,9 +42,6 @@ class Harmonic(Potential):
 
     def derivative(self, x):
         return self.mass * self.omega**2 * np.asarray(x, dtype=float)
-
-    def kernel_params(self):
-        return (CODE_HARMONIC, 0.5 * self.mass * self.omega**2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -76,9 +59,6 @@ class Eckart(Potential):
         s = 1.0 / np.cosh(x / self.a)
         return -2.0 * self.v0 * s**2 * np.tanh(x / self.a) / self.a
 
-    def kernel_params(self):
-        return (CODE_ECKART, self.v0, self.a)
-
 
 @dataclass(frozen=True)
 class DoubleWell(Potential):
@@ -95,9 +75,6 @@ class DoubleWell(Potential):
         x = np.asarray(x, dtype=float)
         u = (x / self.q0) ** 2 - 1.0
         return 4.0 * self.v0 * u * x / self.q0**2
-
-    def kernel_params(self):
-        return (CODE_DOUBLE_WELL, self.v0, self.q0)
 
 
 def from_config(cfg: dict) -> Potential:

@@ -24,7 +24,7 @@ from .density import log_rho_ring
 from .params import ThermoParams
 from .paths import free_ring_paths
 from .potentials import Potential
-from .surfaces import Surface, SurfaceFactors, b_p, f_eval, surface_factors
+from .surfaces import Surface, SurfaceFactors, f_eval, surface_factors
 
 # log-weight bound beyond which the harmonic-analysis factor counts as
 # divergent at this bead count
@@ -273,7 +273,6 @@ class GridConvergenceError(RuntimeError):
 
 
 def grid_oracle_rate(
-    which: str,
     pot: Potential,
     spec: Surface,
     d: float,
@@ -282,15 +281,14 @@ def grid_oracle_rate(
     half_width_sigmas: float = 6.0,
     base_window: float = 0.2,
     check_refinement: bool = True,
-) -> float:
+) -> dict:
     """Deterministic tensor-grid quadrature of the same integrand, P <= 4.
 
-    The delta constraint uses Gaussian windows w and w/2 with Richardson
-    extrapolation in w^2; refinement doubles the per-axis resolution and
-    must change the result by less than 1%.
+    Returns {"kza_rpmd": ..., "kza_ha": ...}; each grid is evaluated once
+    for both.  The delta constraint uses Gaussian windows w and w/2 with
+    Richardson extrapolation in w^2; refinement doubles the per-axis
+    resolution and must change each result by less than 1%.
     """
-    if which not in ("ha", "rpmd"):
-        raise ValueError("which must be 'ha' or 'rpmd'")
     P = params.bead_count
     if P > ORACLE_MAX_BEADS:
         raise ValueError(f"grid oracle restricted to P <= {ORACLE_MAX_BEADS}")
@@ -302,31 +300,31 @@ def grid_oracle_rate(
         q = np.stack([g.ravel() for g in grids], axis=-1)
         rho = np.exp(log_rho_ring(q, params, pot))
         fdev = f_eval(spec, q) - d
-        if which == "rpmd":
-            F = np.sqrt(b_p(spec, q))
-        else:
-            F_rpmd, F_ha, lw = integrand_factors(spec, q, params)
-            if np.any(np.isinf(F_ha)):
-                raise OverflowError("harmonic-analysis weight overflows on grid")
-            F = F_ha
+        F_rpmd, F_ha, _ = integrand_factors(spec, q, params)
+        if np.any(np.isinf(F_ha)):
+            raise OverflowError("harmonic-analysis weight overflows on grid")
         dx = ax[1] - ax[0]
         w = base_window * sigma
-        out = []
+        out = {"kza_rpmd": [], "kza_ha": []}
         for wi in (w, 0.5 * w):
-            out.append(np.sum(rho * gaussian_window(fdev, wi) * F) * dx**P)
+            rw = rho * gaussian_window(fdev, wi)
+            out["kza_rpmd"].append(np.sum(rw * F_rpmd) * dx**P)
+            out["kza_ha"].append(np.sum(rw * F_ha) * dx**P)
         # Gaussian-window error is O(w^2): Richardson in w^2
-        return (4.0 * out[1] - out[0]) / 3.0
+        return {key: (4.0 * v[1] - v[0]) / 3.0 for key, v in out.items()}
 
     pref = np.sqrt(P / (2.0 * np.pi * params.mass * params.beta))
-    value = pref * quad(n_points)
+    values = {key: pref * v for key, v in quad(n_points).items()}
     if check_refinement:
-        fine = pref * quad(2 * n_points - 1)
-        if abs(fine - value) > 0.01 * max(abs(fine), 1e-300):
-            raise GridConvergenceError(
-                f"refinement changed the result by {abs(fine - value) / abs(fine):.2%}"
-            )
-        value = fine
-    return float(value)
+        fine = {key: pref * v for key, v in quad(2 * n_points - 1).items()}
+        for key, value in values.items():
+            change = abs(fine[key] - value)
+            if change > 0.01 * max(abs(fine[key]), 1e-300):
+                raise GridConvergenceError(
+                    f"{key}: refinement changed the result by {change / abs(fine[key]):.2%}"
+                )
+        values = fine
+    return {key: float(v) for key, v in values.items()}
 
 
 def ratio_sweep(

@@ -288,11 +288,14 @@ def g_p(spec: Surface, q, params: ThermoParams, form: str = "link"):
     """Path-dependent coupling g_P(q).
 
     form='link':   (m P / 2 beta hbar) sum_k (q_{k+1} - q_k) T_k
-    form='cyclic': (m P / 2 beta hbar) sum_k q_k (T_{k-1} - T_k)
+    form='cyclic': (m P / 2 beta hbar) sum_k (q_k - qbar) (T_{k-1} - T_k)
 
     The two are identical by cyclic re-summation; both are provided as a
     consistency cross-check.  The cyclic form normalizes the gradient and
-    rolls T itself, independently of ``surface_factors``.
+    rolls T itself, independently of ``surface_factors``.  Subtracting the
+    centroid qbar changes nothing exactly, since sum_k (T_{k-1} - T_k) = 0,
+    but keeps the rounding at the scale of the fluctuations rather than of
+    |q|.
     """
     if form == "link":
         return surface_factors(spec, q, params).g_p
@@ -301,7 +304,8 @@ def g_p(spec: Surface, q, params: ThermoParams, form: str = "link"):
         g = grad_f(spec, q)
         T = g / np.sqrt(np.sum(g**2, axis=-1, keepdims=True))
         coef = _g_p_coef(params, q.shape[-1])
-        return coef * np.sum(q * (np.roll(T, 1, axis=-1) - T), axis=-1)
+        dq = q - np.mean(q, axis=-1, keepdims=True)
+        return coef * np.sum(dq * (np.roll(T, 1, axis=-1) - T), axis=-1)
     raise ValueError("form must be 'link' or 'cyclic'")
 
 

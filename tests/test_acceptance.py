@@ -244,7 +244,7 @@ def test_criterion_6_free_particle_oracle():
     rep = rate_estimates(
         FreeParticle(), CentroidSurface(), 0.0, ThermoParams(bead_count=8), n_samples=400_000, seed=12
     )
-    grid = grid_oracle_rate("rpmd", FreeParticle(), CentroidSurface(), 0.0, ThermoParams(bead_count=3))
+    grid = grid_oracle_rate(FreeParticle(), CentroidSurface(), 0.0, ThermoParams(bead_count=3))["kza_rpmd"]
     mc_ok = abs(rep.kza_rpmd / target - 1.0) < 0.01
     grid_ok = abs(grid / target - 1.0) < 0.01
     elapsed = time.time() - t0

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import ringtst
+from ringtst import rates
 from ringtst.cli import main
 
 
@@ -14,7 +16,8 @@ def test_momenta_check(tmp_path):
     assert run(tmp_path, "--command", "momenta-check") == 0
     doc = json.loads((tmp_path / "momenta_check.json").read_text())
     assert doc["max_abs_deviation"] == 0.0
-    assert "config_sha256" in doc and "library_version" in doc
+    assert "config_sha256" in doc
+    assert doc["library_version"] == ringtst.__version__ != "0.0.0"
     assert doc["schema_version"] == 1
 
 
@@ -148,3 +151,44 @@ def test_rate_grid_oracle_skipped_beyond_four_beads(tmp_path, capsys):
     assert doc["grid_oracle"] == {"skipped": "bead_count 8 > 4"}
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "bead_count 8 > 4" in err[0]
+
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert all(f in err[0] for f in fragments), err[0]
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        rates.WindowExtrapolationError("window estimates non-monotone"),
+        rates.GridConvergenceError("refinement changed the result by 3.00%"),
+        OverflowError("harmonic-analysis weight overflows on grid"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_numerical_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(rates, "rate_estimates", fail)
+    out = tmp_path / "out"
+    assert main(["--command", "rate", "--out", str(out)]) == 2
+    assert_one_error_line(capsys, type(exc).__name__, str(exc))
+    assert not (out / "rate.json").exists()
+
+
+def test_window_extrapolation_failure_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "command: rate\n"
+        "thermo: {beta: 4.0, bead_count: 8}\n"
+        "potential: {kind: eckart}\n"
+        "surface: {kind: quad_diff, offset: 1, phi: 1.4}\n"
+        "d: 0.5\n"
+        "n_samples: 5000\n"
+        "seed: 0\n"
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert_one_error_line(capsys, "WindowExtrapolationError")

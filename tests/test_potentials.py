@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ringtst import _ring_kernels_py
 from ringtst.potentials import DoubleWell, Eckart, FreeParticle, Harmonic, from_config
 
 ALL = [
@@ -25,15 +24,6 @@ def test_derivative_matches_finite_difference(pot):
 def test_value_finite(pot):
     xs = np.linspace(-50, 50, 101)
     assert np.all(np.isfinite(pot.value(xs)))
-
-
-@pytest.mark.parametrize("pot", ALL, ids=lambda p: type(p).__name__)
-def test_kernel_potential_matches_value(pot):
-    code, pa, pb = pot.kernel_params()
-    for x in np.linspace(-3, 3, 13):
-        assert _ring_kernels_py._pot(code, pa, pb, float(x)) == pytest.approx(
-            float(pot.value(x)), abs=1e-12
-        )
 
 
 def test_eckart_barrier_shape():

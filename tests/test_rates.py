@@ -63,21 +63,20 @@ def test_free_particle_d_independent():
 
 def test_grid_oracle_free_particle():
     params = ThermoParams(bead_count=3)
-    v = grid_oracle_rate("rpmd", FreeParticle(), CentroidSurface(), 0.0, params)
-    assert v == pytest.approx(TWO_PI_INV, rel=0.01)
-    vh = grid_oracle_rate("ha", FreeParticle(), CentroidSurface(), 0.0, params)
-    assert vh == pytest.approx(TWO_PI_INV, rel=0.01)
+    grid = grid_oracle_rate(FreeParticle(), CentroidSurface(), 0.0, params)
+    assert grid["kza_rpmd"] == pytest.approx(TWO_PI_INV, rel=0.01)
+    assert grid["kza_ha"] == pytest.approx(TWO_PI_INV, rel=0.01)
 
 
 def test_grid_oracle_matches_exact_harmonic():
     params = ThermoParams(bead_count=3)
-    v = grid_oracle_rate("rpmd", Harmonic(omega=1.0), CentroidSurface(), 0.0, params)
+    v = grid_oracle_rate(Harmonic(omega=1.0), CentroidSurface(), 0.0, params)["kza_rpmd"]
     assert v == pytest.approx(exact_centroid_rate(3), rel=0.005)
 
 
 def test_mc_matches_grid_oracle_harmonic():
     params = ThermoParams(bead_count=3)
-    grid = grid_oracle_rate("rpmd", Harmonic(omega=1.0), CentroidSurface(), 0.0, params)
+    grid = grid_oracle_rate(Harmonic(omega=1.0), CentroidSurface(), 0.0, params)["kza_rpmd"]
     rep = rate_estimates(Harmonic(omega=1.0), CentroidSurface(), 0.0, params, n_samples=200_000, seed=11)
     assert abs(rep.kza_rpmd - grid) < max(2 * rep.kza_rpmd_err, 0.05 * grid)
 
@@ -85,7 +84,7 @@ def test_mc_matches_grid_oracle_harmonic():
 def test_grid_oracle_rejects_large_P():
     params = ThermoParams(bead_count=5)
     with pytest.raises(ValueError):
-        grid_oracle_rate("rpmd", FreeParticle(), CentroidSurface(), 0.0, params)
+        grid_oracle_rate(FreeParticle(), CentroidSurface(), 0.0, params)
 
 
 def test_centroid_degeneracy_per_configuration():
