@@ -14,7 +14,6 @@ from .params import ThermoParams
 from .paths import SinusoidalPathSpec, cyclic_shift, free_ring_paths, sinusoidal_path
 from .potentials import DoubleWell, Eckart, FreeParticle, Harmonic, Potential
 from .rates import (
-    DeltaWindow,
     RateReport,
     divergence_probe,
     grid_oracle_rate,
@@ -35,11 +34,9 @@ from .surfaces import (
     FourierNormSurface,
     QuadDiffSurface,
     SingularSurfaceError,
-    SurfaceEval,
     SurfaceFactors,
     b_p,
     equivalence_diagnostics,
-    evaluate,
     f_eval,
     flux_sum,
     g_p,
@@ -70,7 +67,6 @@ __all__ = [
     "FourierNormSurface",
     "QuadDiffSurface",
     "SingularSurfaceError",
-    "SurfaceEval",
     "SurfaceFactors",
     "surface_factors",
     "f_eval",
@@ -81,7 +77,6 @@ __all__ = [
     "t_diff",
     "sum_difference",
     "flux_sum",
-    "evaluate",
     "equivalence_diagnostics",
     "ModeSchedule",
     "ScalingSeries",
@@ -90,7 +85,6 @@ __all__ = [
     "sumdiff_series",
     "figure1_emit",
     "quaddiff_orders",
-    "DeltaWindow",
     "RateReport",
     "rate_estimates",
     "grid_oracle_rate",

@@ -5,6 +5,13 @@ failure (window extrapolation non-monotone, grid oracle not converged under
 refinement, harmonic-analysis weight overflow on the oracle grid), reported
 as one ``error:`` line on stderr; 3 run completed but produced only
 divergence diagnostics (artifacts still written).
+
+``rate`` writes ``rate.json``: ``rate_report`` holds both rate products
+with error bars (``kza_rpmd``, ``kza_ha``), their ratio, the divergence
+flag, the three window widths used (``delta_widths``), ``n_samples`` and
+``seed``; ``grid_oracle`` holds the P <= 4 quadrature values or why they
+were skipped.  The particle mass is ``thermo.mass`` alone, and the
+dividing-surface level is the top-level ``d`` (default 0).
 """
 from __future__ import annotations
 
@@ -62,7 +69,6 @@ CONFIG_SCHEMA = {
                 "v0": {"type": "number", "exclusiveMinimum": 0},
                 "a": {"type": "number", "exclusiveMinimum": 0},
                 "q0": {"type": "number", "exclusiveMinimum": 0},
-                "mass": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "surface": {
@@ -76,7 +82,6 @@ CONFIG_SCHEMA = {
                 "phi": {"type": "number"},
                 "phi_floor": {"type": "number", "minimum": 0},
                 "norm_scale": {"type": "number", "exclusiveMinimum": 0},
-                "d": {"type": "number"},
             },
         },
         "schedule": _SCHEDULE_SCHEMA,
@@ -207,9 +212,9 @@ def cmd_rate(cfg, out: Path, cfg_hash: str) -> int:
     from .rates import ORACLE_MAX_BEADS, grid_oracle_rate, rate_estimates
 
     params = _thermo(cfg)
-    pot = potential_from_config(cfg["potential"])
+    pot = potential_from_config(cfg["potential"], params.mass)
     spec = surface_from_config(cfg["surface"])
-    d = float(cfg.get("d", getattr(spec, "d", 0.0)))
+    d = float(cfg.get("d", 0.0))
     rep = rate_estimates(
         pot, spec, d, params, n_samples=cfg["n_samples"], seed=cfg["seed"]
     )
@@ -228,7 +233,7 @@ def cmd_ratio_sweep(cfg, out: Path, cfg_hash: str) -> int:
     from .rates import ratio_sweep
 
     params = _thermo(cfg)
-    pot = potential_from_config(cfg["potential"])
+    pot = potential_from_config(cfg["potential"], params.mass)
     P_list = cfg.get("p_list", [16, 32, 64, 128])
     rows = ratio_sweep(
         pot, _schedule(cfg), P_list, params, n_samples=cfg["n_samples"], seed=cfg["seed"]

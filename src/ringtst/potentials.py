@@ -32,7 +32,7 @@ class FreeParticle(Potential):
 
 @dataclass(frozen=True)
 class Harmonic(Potential):
-    """V(x) = m omega^2 x^2 / 2 with unit mass folded in by the caller."""
+    """V(x) = m omega^2 x^2 / 2, with m the particle mass of the run."""
 
     omega: float = 1.0
     mass: float = 1.0
@@ -77,13 +77,14 @@ class DoubleWell(Potential):
         return 4.0 * self.v0 * u * x / self.q0**2
 
 
-def from_config(cfg: dict) -> Potential:
-    """Build a potential from a {'kind': ..., ...} mapping."""
+def from_config(cfg: dict, mass: float = 1.0) -> Potential:
+    """Build a potential from a {'kind': ..., ...} mapping; ``mass`` is the
+    particle mass of the thermodynamic parameters."""
     kind = cfg.get("kind", "free")
     if kind == "free":
         return FreeParticle()
     if kind == "harmonic":
-        return Harmonic(omega=cfg.get("omega", 1.0), mass=cfg.get("mass", 1.0))
+        return Harmonic(omega=cfg.get("omega", 1.0), mass=mass)
     if kind == "eckart":
         return Eckart(v0=cfg.get("v0", 1.0), a=cfg.get("a", 1.0))
     if kind == "double_well":

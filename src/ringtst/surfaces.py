@@ -35,8 +35,6 @@ class SingularSurfaceError(ValueError):
 class CentroidSurface:
     """Bead-average dividing coordinate."""
 
-    d: float = 0.0
-
 
 @dataclass(frozen=True)
 class FourierNormSurface:
@@ -49,7 +47,6 @@ class FourierNormSurface:
 
     mode: int
     phi: float
-    d: float = 0.0
     phi_floor: float = 1e-3
 
     def __post_init__(self):
@@ -68,7 +65,6 @@ class QuadDiffSurface:
     offset: int
     phi: float
     norm_scale: float = 1.0
-    d: float = 0.0
     phi_floor: float = 1e-3
 
     def __post_init__(self):
@@ -329,32 +325,6 @@ def flux_sum(spec: Surface, q):
 
 
 @dataclass(frozen=True)
-class SurfaceEval:
-    """Bundle of surface quantities for one path."""
-
-    f_value: float
-    gradient: np.ndarray
-    b_p: float
-    t_vec: np.ndarray
-    g_p: float
-
-
-def evaluate(spec: Surface, q, params: ThermoParams) -> SurfaceEval:
-    q = _check(spec, np.asarray(q, dtype=float))
-    if q.ndim != 1:
-        raise ValueError("evaluate() takes a single path")
-    sf = surface_factors(spec, q, params)
-    bp = float(sf.b_p)
-    return SurfaceEval(
-        f_value=float(f_eval(spec, q)),
-        gradient=sf.t_vec * np.sqrt(bp),
-        b_p=bp,
-        t_vec=sf.t_vec,
-        g_p=float(sf.g_p),
-    )
-
-
-@dataclass(frozen=True)
 class DiagnosticsRow:
     bead_count: int
     t_gap_scaled: float
@@ -426,14 +396,12 @@ def equivalence_diagnostics(family, P_list, params: ThermoParams) -> Diagnostics
 
 def surface_from_config(cfg: dict) -> Surface:
     kind = cfg.get("kind", "centroid")
-    d = cfg.get("d", 0.0)
     if kind == "centroid":
-        return CentroidSurface(d=d)
+        return CentroidSurface()
     if kind == "fourier_norm":
         return FourierNormSurface(
             mode=cfg["mode"],
             phi=cfg.get("phi", np.pi / 4),
-            d=d,
             phi_floor=cfg.get("phi_floor", 1e-3),
         )
     if kind == "quad_diff":
@@ -441,7 +409,6 @@ def surface_from_config(cfg: dict) -> Surface:
             offset=cfg["offset"],
             phi=cfg.get("phi", np.pi / 4),
             norm_scale=cfg.get("norm_scale", 1.0),
-            d=d,
             phi_floor=cfg.get("phi_floor", 1e-3),
         )
     raise ValueError(f"unknown surface kind: {kind!r}")

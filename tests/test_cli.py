@@ -34,12 +34,21 @@ def test_figure1_default(tmp_path):
 
 
 def test_byte_identical_reruns(tmp_path):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    for out in (a, b):
-        assert main(["--command", "figure1", "--seed", "5", "--out", str(out)]) == 0
-    for name in ("figure1.csv", "figure1_slopes.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "thermo: {bead_count: 3}\n"
+        "potential: {kind: eckart}\n"
+        "surface: {kind: fourier_norm, mode: 1, phi: 0.5}\n"
+        "d: 0.2\n"
+        "n_samples: 5000\n"
+    )
+    for command, names in (("figure1", ("figure1.csv", "figure1_slopes.json")), ("rate", ("rate.json",))):
+        a = tmp_path / command / "a"
+        b = tmp_path / command / "b"
+        for out in (a, b):
+            assert main(["--config", str(cfg), "--command", command, "--seed", "5", "--out", str(out)]) == 0
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_rate_free_particle(tmp_path):
@@ -90,6 +99,33 @@ def test_bad_value_rejected(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("command: rate\nthermo: {beta: -1.0}\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_potential_mass_rejected_thermo_mass_used(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("command: rate\npotential: {kind: harmonic, mass: 2}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad" / "rate.json").exists()
+
+    seen = []
+    estimate = rates.rate_estimates
+
+    def record(pot, *args, **kwargs):
+        seen.append(pot)
+        return estimate(pot, *args, **kwargs)
+
+    monkeypatch.setattr(rates, "rate_estimates", record)
+    cfg.write_text("command: rate\nthermo: {mass: 2}\npotential: {kind: harmonic}\nn_samples: 1000\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "good")]) == 0
+    assert [p.mass for p in seen] == [2.0]
+
+
+def test_surface_d_rejected(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("command: rate\nsurface: {kind: centroid, d: 0.3}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "rate.json").exists()
 
 
 def test_scaling_command(tmp_path):

@@ -3,10 +3,9 @@ import pytest
 
 from ringtst.params import ThermoParams
 from ringtst.paths import cyclic_shift, free_ring_paths
-from ringtst.potentials import FreeParticle, Harmonic
+from ringtst.potentials import Eckart, FreeParticle, Harmonic
 from ringtst.rates import (
     OVERFLOW_GUARD,
-    DeltaWindow,
     divergence_probe,
     eta0_factor_closed,
     eta0_factor_quadrature,
@@ -16,7 +15,7 @@ from ringtst.rates import (
     ratio_sweep,
 )
 from ringtst.scaling import ModeSchedule
-from ringtst.surfaces import CentroidSurface, FourierNormSurface
+from ringtst.surfaces import CentroidSurface, FourierNormSurface, QuadDiffSurface, f_eval
 
 TWO_PI_INV = 1.0 / (2.0 * np.pi)
 
@@ -34,14 +33,56 @@ def exact_centroid_rate(P, beta=1.0, m=1.0, hbar=1.0, omega=1.0):
     return np.sqrt(P / (2 * np.pi * m * beta)) * np.sqrt(1.0 / P) * rho_c0
 
 
-def test_delta_window_validation():
-    DeltaWindow()
-    with pytest.raises(ValueError):
-        DeltaWindow(widths=(0.1, 0.2))
-    with pytest.raises(ValueError):
-        DeltaWindow(widths=(0.1, -0.05))
-    with pytest.raises(ValueError):
-        DeltaWindow(extrapolation="spline")
+def test_window_reduction_matches_per_width_polyfit():
+    # the same ensemble, windowed one width at a time, each rate the
+    # np.polyfit zero-width intercept of its window means and its error bar
+    # the spread of the per-batch polyfit intercepts
+    pot, spec, d = Eckart(), QuadDiffSurface(offset=1, phi=np.pi / 4), 0.1
+    params = ThermoParams(bead_count=8)
+    n, n_batches, seed = 20_000, 20, 1
+    rng = np.random.default_rng(seed)
+    sigma_c = params.hbar * np.sqrt(params.beta / params.mass)
+    c = d + sigma_c * rng.standard_normal(n)
+    q = free_ring_paths(params, n, rng, centroid=c)
+    log_pi_c = -0.5 * ((c - d) / sigma_c) ** 2 - np.log(sigma_c * np.sqrt(2 * np.pi))
+    log_base = (
+        0.5 * np.log(params.mass / (2.0 * np.pi * params.beta * params.hbar**2))
+        - params.epsilon * np.sum(pot.value(q), axis=-1)
+        - log_pi_c
+    )
+    f = f_eval(spec, q)
+    widths = np.array([0.2, 0.1, 0.05]) * np.std(f)
+    F_rpmd, F_ha, _ = integrand_factors(spec, q, params)
+    pref = np.sqrt(params.bead_count / (2.0 * np.pi * params.mass * params.beta))
+    per = n // n_batches
+
+    def reduce(F):
+        est, batch = [], []
+        for w in widths:
+            vals = np.exp(log_base) * np.exp(-0.5 * ((f - d) / w) ** 2) / (w * np.sqrt(2 * np.pi)) * F
+            est.append(np.mean(vals))
+            batch.append(vals[: per * n_batches].reshape(n_batches, per).mean(axis=1))
+        batch = np.array(batch)
+        value = np.polyfit(widths, est, 1)[1]
+        per_batch = np.array([np.polyfit(widths, batch[:, b], 1)[1] for b in range(n_batches)])
+        return pref * value, pref * np.std(per_batch, ddof=1) / np.sqrt(n_batches), per_batch
+
+    kr, kr_err, kr_batch = reduce(F_rpmd)
+    kh, kh_err, kh_batch = reduce(F_ha)
+    ratios = kh_batch / kr_batch
+    rep = rate_estimates(pot, spec, d, params, n_samples=n, seed=seed, n_batches=n_batches)
+    assert abs(kh / kr - 1.0) > 0.1  # keeps the batch-ratio spread far above roundoff
+    expected = {
+        "kza_rpmd": kr,
+        "kza_rpmd_err": kr_err,
+        "kza_ha": kh,
+        "kza_ha_err": kh_err,
+        "ratio_ha_over_rpmd": kh / kr,
+        "ratio_err": np.std(ratios, ddof=1) / np.sqrt(n_batches),
+    }
+    for key, value in expected.items():
+        assert getattr(rep, key) == pytest.approx(value, rel=1e-12, abs=0.0), key
+    assert rep.delta_widths == pytest.approx(widths, rel=1e-15)
 
 
 def test_free_particle_mc_oracle():
@@ -121,17 +162,6 @@ def test_eta0_modes_agree_per_configuration():
     closed = eta0_factor_closed(g, params)
     quad = eta0_factor_quadrature(g, params)
     assert np.max(np.abs(quad / closed - 1.0)) < 1e-3
-
-
-def test_eta0_mode_plumbed_through_estimator():
-    params = ThermoParams(bead_count=8)
-    spec = FourierNormSurface(mode=1, phi=np.pi / 4)
-    a = rate_estimates(Harmonic(omega=1.0), spec, 0.0, params, n_samples=5000, seed=6)
-    b = rate_estimates(
-        Harmonic(omega=1.0), spec, 0.0, params, n_samples=5000, seed=6, eta0_mode="quadrature"
-    )
-    assert b.kza_ha == pytest.approx(a.kza_ha, rel=1e-3)
-    assert b.kza_rpmd == a.kza_rpmd
 
 
 def test_ratio_sweep_constant_schedule_tends_to_one():

@@ -178,10 +178,9 @@ def test_integrand_factors_one_gradient_per_path(grad_rows, spec):
     assert sum(grad_rows) == n
 
 
-@pytest.mark.parametrize("eta0_mode", ["gaussian_closed_form", "quadrature"])
-def test_rate_estimates_one_gradient_per_path(grad_rows, eta0_mode):
+def test_rate_estimates_one_gradient_per_path(grad_rows):
     spec = FourierNormSurface(mode=2, phi=0.5)
-    rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=16), n_samples=2000, seed=1, eta0_mode=eta0_mode)
+    rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=16), n_samples=2000, seed=1)
     assert sum(grad_rows) == 2000
 
 
