@@ -8,7 +8,6 @@ from .density import (
     log_rho_ring,
     momentum_avg_exact_free,
     momentum_avg_leading,
-    rho_ring,
 )
 from .params import ThermoParams
 from .paths import SinusoidalPathSpec, cyclic_shift, free_ring_paths, sinusoidal_path
@@ -60,7 +59,6 @@ __all__ = [
     "cyclic_shift",
     "free_ring_paths",
     "log_rho_ring",
-    "rho_ring",
     "momentum_avg_leading",
     "momentum_avg_exact_free",
     "CentroidSurface",

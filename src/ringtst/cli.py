@@ -9,14 +9,17 @@ divergence diagnostics (artifacts still written).
 ``rate`` writes ``rate.json``: ``rate_report`` holds both rate products
 with error bars (``kza_rpmd``, ``kza_ha``), their ratio, the divergence
 flag, the three window widths used (``delta_widths``), ``n_samples`` and
-``seed``; ``grid_oracle`` holds the P <= 4 quadrature values or why they
-were skipped.  The particle mass is ``thermo.mass`` alone, and the
+``seed``; ``grid_oracle`` holds the P <= 4 quadrature values, with the
+delta constraint solved exactly for the centroid, or why they were skipped.
+The oracle covers every surface except Fourier-norm mode 0 or P, which
+exits 2.  The particle mass is ``thermo.mass`` alone, and the
 dividing-surface level is the top-level ``d`` (default 0).
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -135,10 +138,19 @@ def load_config(path: str | None) -> dict:
     return data
 
 
+@functools.cache
+def _validator():
+    """The CONFIG_SCHEMA validator, checked against its meta-schema on the
+    first call only."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 def validate_config(cfg: dict) -> dict:
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
+    # best_match picks the error jsonschema.validate would raise
+    e = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if e is not None:
         key = "/".join(str(p) for p in e.absolute_path) or "(root)"
         raise ConfigError(f"invalid config at {key}: {e.message}")
     merged = dict(DEFAULTS)

@@ -38,11 +38,6 @@ def log_rho_ring(path, params: ThermoParams, pot: Potential):
     return prefactor - potential - spring
 
 
-def rho_ring(path, params: ThermoParams, pot: Potential):
-    """Linear-domain ring-polymer weight; overflows for large P, use the log."""
-    return np.exp(log_rho_ring(path, params, pot))
-
-
 def momentum_avg_leading(
     side: str,
     k: int,

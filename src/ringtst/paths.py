@@ -12,13 +12,6 @@ import numpy as np
 from .params import ThermoParams
 
 
-def as_path(beads) -> np.ndarray:
-    q = np.asarray(beads, dtype=float)
-    if q.ndim != 1 or q.size < 2:
-        raise ValueError("a path is a 1-D array with at least 2 beads")
-    return q
-
-
 def cyclic_shift(path: np.ndarray, shift: int) -> np.ndarray:
     """Relabel beads cyclically; the physical ring is unchanged."""
     return np.roll(path, shift)
@@ -47,18 +40,13 @@ def sinusoidal_path(spec: SinusoidalPathSpec, bead_count: int) -> np.ndarray:
     )
 
 
-def ring_mode_eigenvalues(bead_count: int) -> np.ndarray:
-    """Eigenvalues 4 sin^2(pi l / P) of the cyclic second-difference matrix."""
-    l = np.arange(bead_count)
-    return 4.0 * np.sin(np.pi * l / bead_count) ** 2
-
-
 def fourier_mode_basis(bead_count: int) -> np.ndarray:
     """Real orthonormal basis of the non-centroid cyclic Fourier modes.
 
-    Returns a (P, P-1) matrix whose columns are unit vectors; column j has
-    second-difference eigenvalue ``ring_mode_eigenvalues(P)[mode_index[j]]``
-    paired as (cos, sin) per mode, with a single Nyquist column for even P.
+    Returns a (P, P-1) matrix whose columns are unit vectors, paired as
+    (cos, sin) per mode l = 1 .. P/2 with a single Nyquist column for even
+    P; column j has the second-difference eigenvalue 4 sin^2(pi l / P)
+    given by ``fourier_basis_eigenvalues(P)[j]``.
     """
     P = bead_count
     k = np.arange(P)
@@ -85,6 +73,13 @@ def fourier_basis_eigenvalues(bead_count: int) -> np.ndarray:
     return np.asarray(vals)
 
 
+def free_ring_mode_std(params: ThermoParams) -> np.ndarray:
+    """Standard deviation sqrt(beta hbar^2 / (m P lambda_j)) of each
+    fourier_mode_basis amplitude under the free ring-polymer weight."""
+    P = params.bead_count
+    return np.sqrt(params.beta * params.hbar**2 / (params.mass * P * fourier_basis_eigenvalues(P)))
+
+
 def free_ring_paths(
     params: ThermoParams,
     n_samples: int,
@@ -102,9 +97,7 @@ def free_ring_paths(
     """
     P = params.bead_count
     basis = fourier_mode_basis(P)
-    lam = fourier_basis_eigenvalues(P)
-    sigma = np.sqrt(params.beta * params.hbar**2 / (params.mass * P * lam))
-    amps = rng.standard_normal((n_samples, P - 1)) * sigma
+    amps = rng.standard_normal((n_samples, P - 1)) * free_ring_mode_std(params)
     q = amps @ basis.T
     del amps  # with the centroid added in place, only q is left alive
     centroid = np.asarray(centroid, dtype=float)

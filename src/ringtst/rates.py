@@ -11,8 +11,11 @@ F = exp(beta g_P^2 / 2 m P) * flux_sum for the harmonic-analysis flux
 Monte-Carlo backend: exact normal-mode sampling of the free ring polymer
 with the centroid drawn from a Gaussian proposal, re-weighted by the
 potential factor.  The delta constraint is realized by Gaussian windows of
-three fixed widths with linear extrapolation to zero width.  A brute-force
-tensor-grid quadrature backend covers P <= 4 as an oracle.
+three fixed widths with linear extrapolation to zero width.
+
+Grid oracle, P <= 4: a midpoint-rule quadrature over the P - 1 fluctuation
+modes, with the delta constraint solved exactly for the centroid; it covers
+every surface except the Fourier-norm modes 0 and P.
 """
 from __future__ import annotations
 
@@ -22,9 +25,9 @@ import numpy as np
 
 from .density import log_rho_ring
 from .params import ThermoParams
-from .paths import free_ring_paths
+from .paths import fourier_mode_basis, free_ring_mode_std, free_ring_paths
 from .potentials import Potential
-from .surfaces import Surface, f_eval, surface_factors
+from .surfaces import CentroidSurface, FourierNormSurface, Surface, f_eval, surface_factors
 
 # log-weight bound beyond which the harmonic-analysis factor counts as
 # divergent at this bead count
@@ -33,11 +36,10 @@ OVERFLOW_GUARD = 700.0
 # bead counts beyond which the tensor grid of the oracle is too large
 ORACLE_MAX_BEADS = 4
 
-# oracle grid: points per axis, half-width and window width in thermal
-# lengths hbar sqrt(beta / m)
-ORACLE_POINTS = 41
+# oracle grid: midpoint cells per fluctuation axis (even, so that no node
+# sits at xi = 0) and half-width in free-ring standard deviations per mode
+ORACLE_CELLS = 40
 ORACLE_HALF_WIDTH = 6.0
-ORACLE_WINDOW = 0.2
 
 # mixing angle of the Fourier-norm surfaces of the sweeps
 SWEEP_PHI = np.pi / 4
@@ -199,42 +201,52 @@ class GridConvergenceError(RuntimeError):
 
 
 def grid_oracle_rate(pot: Potential, spec: Surface, d: float, params: ThermoParams) -> dict:
-    """Deterministic tensor-grid quadrature of the same integrand, P <= 4.
+    """Deterministic quadrature of the same integrand over the P - 1
+    fluctuation modes, P <= 4, with the centroid solved from the constraint.
 
     Returns {"kza_rpmd": ..., "kza_ha": ...}; each grid is evaluated once
-    for both.  The grid spans d +- ORACLE_HALF_WIDTH thermal lengths with
-    ORACLE_POINTS per axis.  The delta constraint uses Gaussian windows w
-    and w/2 (w = ORACLE_WINDOW thermal lengths) with Richardson
-    extrapolation in w^2; refinement doubles the per-axis resolution and
-    must change each result by less than 1%.
+    for both.  A path is q = c 1 + B xi with B = fourier_mode_basis(P), so
+    dq = sqrt(P) dc dxi, and every surface reads f = cos(phi) c + N(B xi)
+    with a translation-invariant norm term N (N = 0 and cos(phi) = 1 for
+    the centroid).  The delta constraint then fixes the centroid exactly,
+    c* = (d - N) / cos(phi), and contributes 1 / |cos(phi)|.  Axis j spans
+    +- ORACLE_HALF_WIDTH free-ring standard deviations of mode j with the
+    midpoint rule on ORACLE_CELLS cells, an even number, so the node xi = 0,
+    where the norm term vanishes, is never evaluated.  Refinement doubles
+    the cells per axis and must change each result by less than 1%.
+
+    Fourier-norm mode 0 or P is rejected: there L_n = P |c| depends on the
+    centroid, so the constraint has no single solution in c.
     """
     P = params.bead_count
     if P > ORACLE_MAX_BEADS:
         raise ValueError(f"grid oracle restricted to P <= {ORACLE_MAX_BEADS}")
+    if isinstance(spec, FourierNormSurface) and spec.mode in (0, P):
+        raise ValueError(
+            f"grid oracle needs a centroid-independent surface: Fourier-norm mode "
+            f"{spec.mode} has L_n = P |c|, which depends on the centroid"
+        )
+    cos_phi = 1.0 if isinstance(spec, CentroidSurface) else float(np.cos(spec.phi))
+    basis = fourier_mode_basis(P)
+    sigma = free_ring_mode_std(params)
 
-    def quad(npts):
-        sigma = params.hbar * np.sqrt(params.beta / params.mass)
-        ax = np.linspace(d - ORACLE_HALF_WIDTH * sigma, d + ORACLE_HALF_WIDTH * sigma, npts)
-        grids = np.meshgrid(*([ax] * P), indexing="ij")
-        q = np.stack([g.ravel() for g in grids], axis=-1)
+    def quad(cells):
+        # midpoint nodes of [-ORACLE_HALF_WIDTH, ORACLE_HALF_WIDTH] in units of sigma
+        t = ORACLE_HALF_WIDTH * ((2.0 * np.arange(cells) + 1.0) / cells - 1.0)
+        grids = np.meshgrid(*([t] * (P - 1)), indexing="ij")
+        xi = np.stack([g.ravel() for g in grids], axis=-1) * sigma
+        q = xi @ basis.T
+        q += ((d - f_eval(spec, q)) / cos_phi)[:, None]
         rho = np.exp(log_rho_ring(q, params, pot))
-        fdev = f_eval(spec, q) - d
         F_rpmd, F_ha, _ = integrand_factors(spec, q, params)
         if np.any(np.isinf(F_ha)):
             raise OverflowError("harmonic-analysis weight overflows on grid")
-        dx = ax[1] - ax[0]
-        w = ORACLE_WINDOW * sigma
-        out = {"kza_rpmd": [], "kza_ha": []}
-        for wi in (w, 0.5 * w):
-            rw = rho * gaussian_window(fdev, wi)
-            out["kza_rpmd"].append(np.sum(rw * F_rpmd) * dx**P)
-            out["kza_ha"].append(np.sum(rw * F_ha) * dx**P)
-        # Gaussian-window error is O(w^2): Richardson in w^2
-        return {key: (4.0 * v[1] - v[0]) / 3.0 for key, v in out.items()}
+        cell = np.prod(2.0 * ORACLE_HALF_WIDTH * sigma / cells)
+        return {"kza_rpmd": np.sum(rho * F_rpmd) * cell, "kza_ha": np.sum(rho * F_ha) * cell}
 
-    pref = np.sqrt(P / (2.0 * np.pi * params.mass * params.beta))
-    coarse = {key: pref * v for key, v in quad(ORACLE_POINTS).items()}
-    fine = {key: pref * v for key, v in quad(2 * ORACLE_POINTS - 1).items()}
+    pref = np.sqrt(P / (2.0 * np.pi * params.mass * params.beta)) * np.sqrt(P) / abs(cos_phi)
+    coarse = {key: pref * v for key, v in quad(ORACLE_CELLS).items()}
+    fine = {key: pref * v for key, v in quad(2 * ORACLE_CELLS).items()}
     for key, value in coarse.items():
         change = abs(fine[key] - value)
         if change > 0.01 * max(abs(fine[key]), 1e-300):
@@ -255,8 +267,6 @@ def ratio_sweep(
     """Table of (P, ratio, error, divergence_flag) for the Fourier-norm
     surface family at phi = SWEEP_PHI with mode n(P) from the schedule;
     each window is centered on the mean of f over free ring polymers."""
-    from .surfaces import FourierNormSurface
-
     rows = []
     for i, P in enumerate(P_list):
         pp = params.with_beads(P)
@@ -285,7 +295,6 @@ def divergence_probe(P_list, params: ThermoParams) -> list[dict]:
     grows like the square root of the guard.
     """
     from .paths import SinusoidalPathSpec, sinusoidal_path
-    from .surfaces import FourierNormSurface
 
     rows = []
     for P in P_list:

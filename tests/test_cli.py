@@ -1,11 +1,12 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import ringtst
-from ringtst import rates
-from ringtst.cli import main
+from ringtst import cli, rates
+from ringtst.cli import CONFIG_SCHEMA, ConfigError, main, validate_config
 
 
 def run(tmp_path, *argv):
@@ -187,6 +188,67 @@ def test_rate_grid_oracle_skipped_beyond_four_beads(tmp_path, capsys):
     assert doc["grid_oracle"] == {"skipped": "bead_count 8 > 4"}
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "bead_count 8 > 4" in err[0]
+
+
+def test_rate_grid_oracle_fourier_norm(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "command: rate\n"
+        "thermo: {bead_count: 3}\n"
+        "potential: {kind: eckart}\n"
+        "surface: {kind: fourier_norm, mode: 1, phi: 0.5}\n"
+        "n_samples: 2000\n"
+        "grid_oracle: true\n"
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    oracle = json.loads((tmp_path / "rate.json").read_text())["grid_oracle"]
+    assert set(oracle) == {"kza_rpmd", "kza_ha"}
+    assert 0.0 < oracle["kza_ha"] < oracle["kza_rpmd"]
+
+
+def test_rate_grid_oracle_centroid_dependent_mode_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "command: rate\n"
+        "thermo: {bead_count: 3}\n"
+        "surface: {kind: fourier_norm, mode: 0, phi: 0.5}\n"
+        "n_samples: 1000\n"
+        "grid_oracle: true\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert_one_error_line(capsys, "mode 0", "depends on the centroid")
+    assert not (out / "rate.json").exists()
+
+
+def test_config_schema_is_valid():
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+def test_validate_config_message_matches_jsonschema_validate():
+    cfg = {"command": "rate", "bogus": 1, "thermo": {"bead_count": 1}}
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+    key = "/".join(str(p) for p in expected.value.absolute_path) or "(root)"
+    with pytest.raises(ConfigError) as got:
+        validate_config(cfg)
+    assert str(got.value) == f"invalid config at {key}: {expected.value.message}"
+
+
+def test_meta_schema_checked_once(tmp_path, monkeypatch):
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    check = cls.check_schema
+    calls = []
+
+    def counted(schema, *args, **kwargs):
+        calls.append(schema)
+        return check(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", staticmethod(counted))
+    cli._validator.cache_clear()
+    for i in range(3):
+        assert run(tmp_path / str(i), "--command", "figure1") == 0
+    assert calls == [CONFIG_SCHEMA]
 
 
 def assert_one_error_line(capsys, *fragments):

@@ -5,7 +5,6 @@ from ringtst.density import (
     log_rho_ring,
     momentum_avg_exact_free,
     momentum_avg_leading,
-    rho_ring,
 )
 from ringtst.params import ThermoParams
 from ringtst.paths import cyclic_shift
@@ -15,13 +14,13 @@ from ringtst.potentials import FreeParticle, Harmonic
 def test_rho_free_particle_spot_value():
     params = ThermoParams(bead_count=2)
     q = np.array([0.5, 0.5])
-    assert rho_ring(q, params, FreeParticle()) == pytest.approx(1.0 / np.pi, rel=1e-12)
+    assert np.exp(log_rho_ring(q, params, FreeParticle())) == pytest.approx(1.0 / np.pi, rel=1e-12)
 
 
 def test_rho_harmonic_spot_value():
     params = ThermoParams(bead_count=4)
     q = np.zeros(4)
-    assert rho_ring(q, params, Harmonic(omega=1.0)) == pytest.approx(
+    assert np.exp(log_rho_ring(q, params, Harmonic(omega=1.0))) == pytest.approx(
         (4.0 / (2.0 * np.pi)) ** 2, rel=1e-12
     )
 

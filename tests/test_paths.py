@@ -8,7 +8,6 @@ from ringtst.paths import (
     fourier_basis_eigenvalues,
     fourier_mode_basis,
     free_ring_paths,
-    ring_mode_eigenvalues,
     sinusoidal_path,
 )
 
@@ -51,7 +50,6 @@ def test_basis_diagonalizes_ring_laplacian():
     L = 2 * np.eye(P) - np.roll(np.eye(P), 1, 0) - np.roll(np.eye(P), -1, 0)
     lam = fourier_basis_eigenvalues(P)
     assert B.T @ L @ B == pytest.approx(np.diag(lam), abs=1e-10)
-    assert np.sort(ring_mode_eigenvalues(P))[1:] == pytest.approx(np.sort(lam))
 
 
 def test_free_ring_paths_moments():

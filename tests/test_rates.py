@@ -105,14 +105,15 @@ def test_free_particle_d_independent():
 def test_grid_oracle_free_particle():
     params = ThermoParams(bead_count=3)
     grid = grid_oracle_rate(FreeParticle(), CentroidSurface(), 0.0, params)
-    assert grid["kza_rpmd"] == pytest.approx(TWO_PI_INV, rel=0.01)
-    assert grid["kza_ha"] == pytest.approx(TWO_PI_INV, rel=0.01)
+    assert grid["kza_rpmd"] == pytest.approx(TWO_PI_INV, rel=1e-6)
+    assert grid["kza_ha"] == pytest.approx(TWO_PI_INV, rel=1e-6)
 
 
-def test_grid_oracle_matches_exact_harmonic():
-    params = ThermoParams(bead_count=3)
+@pytest.mark.parametrize("P", [2, 3, 4])
+def test_grid_oracle_matches_exact_harmonic(P):
+    params = ThermoParams(bead_count=P)
     v = grid_oracle_rate(Harmonic(omega=1.0), CentroidSurface(), 0.0, params)["kza_rpmd"]
-    assert v == pytest.approx(exact_centroid_rate(3), rel=0.005)
+    assert v == pytest.approx(exact_centroid_rate(P), rel=1e-6)
 
 
 def test_mc_matches_grid_oracle_harmonic():
@@ -122,10 +123,37 @@ def test_mc_matches_grid_oracle_harmonic():
     assert abs(rep.kza_rpmd - grid) < max(2 * rep.kza_rpmd_err, 0.05 * grid)
 
 
+@pytest.mark.parametrize(
+    "pot, spec, d, P",
+    [
+        (Eckart(), QuadDiffSurface(offset=1, phi=np.pi / 4), 0.1, 3),
+        (Eckart(), FourierNormSurface(mode=1, phi=0.5), 0.0, 3),
+        (Harmonic(omega=1.0), QuadDiffSurface(offset=1, phi=np.pi / 4), 0.3, 4),
+        (Eckart(), QuadDiffSurface(offset=2, phi=0.7), 0.0, 4),
+    ],
+    ids=["eckart-quaddiff1-P3", "eckart-fourier1-P3", "harmonic-quaddiff1-P4", "eckart-quaddiff2-P4"],
+)
+def test_mc_matches_grid_oracle_non_centroid(pot, spec, d, P):
+    params = ThermoParams(bead_count=P)
+    grid = grid_oracle_rate(pot, spec, d, params)
+    rep = rate_estimates(pot, spec, d, params, n_samples=200_000, seed=0)
+    assert abs(rep.kza_ha / rep.kza_rpmd - 1.0) > 0.1  # a surface where the two rates differ
+    for key in ("kza_rpmd", "kza_ha"):
+        assert abs(getattr(rep, key) - grid[key]) < 4 * getattr(rep, f"{key}_err"), key
+
+
 def test_grid_oracle_rejects_large_P():
     params = ThermoParams(bead_count=5)
     with pytest.raises(ValueError):
         grid_oracle_rate(FreeParticle(), CentroidSurface(), 0.0, params)
+
+
+@pytest.mark.parametrize("mode", [0, 3])
+def test_grid_oracle_rejects_centroid_dependent_mode(mode):
+    params = ThermoParams(bead_count=3)
+    spec = FourierNormSurface(mode=mode, phi=0.5)
+    with pytest.raises(ValueError, match="depends on the centroid"):
+        grid_oracle_rate(Harmonic(omega=1.0), spec, 0.0, params)
 
 
 def test_centroid_degeneracy_per_configuration():
