@@ -12,7 +12,8 @@ flag, the three window widths used (``delta_widths``), ``n_samples`` and
 ``seed``; ``grid_oracle`` holds the P <= 4 quadrature values, with the
 delta constraint solved exactly for the centroid, or why they were skipped.
 The oracle covers every surface except Fourier-norm mode 0 or P, which
-exits 2.  The particle mass is ``thermo.mass`` alone, and the
+exits 2; it runs before the Monte-Carlo estimate, so a rejected input
+draws no path.  The particle mass is ``thermo.mass`` alone, and the
 dividing-surface level is the top-level ``d`` (default 0).
 """
 from __future__ import annotations
@@ -162,15 +163,6 @@ def _thermo(cfg: dict) -> ThermoParams:
     return ThermoParams(**cfg.get("thermo", {}))
 
 
-def _schedule(cfg: dict):
-    from .scaling import ModeSchedule
-
-    sc = cfg.get("schedule")
-    if sc is None:
-        return ModeSchedule.constant(1)
-    return ModeSchedule(sc["rule"], float(sc.get("value", 1.0)))
-
-
 def cmd_figure1(cfg, out: Path, cfg_hash: str) -> int:
     from .scaling import DEFAULT_P_SWEEP, figure1_emit
 
@@ -182,10 +174,10 @@ def cmd_figure1(cfg, out: Path, cfg_hash: str) -> int:
 
 
 def cmd_scaling(cfg, out: Path, cfg_hash: str) -> int:
-    from .scaling import DEFAULT_P_SWEEP, gp_series, sumdiff_series, tdiff_series
+    from .scaling import DEFAULT_P_SWEEP, gp_series, schedule_from_config, sumdiff_series, tdiff_series
 
     P_list = cfg.get("p_list", list(DEFAULT_P_SWEEP))
-    sched = _schedule(cfg)
+    sched = schedule_from_config(cfg.get("schedule"))
     params = _thermo(cfg)
     alpha = cfg["alpha"]
     if sched.rule == "fracP" and abs(sched.value - 0.5) < 1e-12 and alpha == 0.0:
@@ -227,29 +219,33 @@ def cmd_rate(cfg, out: Path, cfg_hash: str) -> int:
     pot = potential_from_config(cfg["potential"], params.mass)
     spec = surface_from_config(cfg["surface"])
     d = float(cfg.get("d", 0.0))
+    # the oracle runs first, so an input it rejects exits 2 before any path is drawn
+    oracle = None
+    if cfg["grid_oracle"] and params.bead_count <= ORACLE_MAX_BEADS:
+        oracle = grid_oracle_rate(pot, spec, d, params)
+    elif cfg["grid_oracle"]:
+        reason = f"bead_count {params.bead_count} > {ORACLE_MAX_BEADS}"
+        oracle = {"skipped": reason}
+        print(f"warning: grid oracle skipped: {reason}", file=sys.stderr)
     rep = rate_estimates(
         pot, spec, d, params, n_samples=cfg["n_samples"], seed=cfg["seed"]
     )
     payload = {"rate_report": dataclasses.asdict(rep)}
-    if cfg["grid_oracle"] and params.bead_count <= ORACLE_MAX_BEADS:
-        payload["grid_oracle"] = grid_oracle_rate(pot, spec, d, params)
-    elif cfg["grid_oracle"]:
-        reason = f"bead_count {params.bead_count} > {ORACLE_MAX_BEADS}"
-        payload["grid_oracle"] = {"skipped": reason}
-        print(f"warning: grid oracle skipped: {reason}", file=sys.stderr)
+    if oracle is not None:
+        payload["grid_oracle"] = oracle
     write_json(out / "rate.json", payload, cfg_hash)
     return 3 if rep.divergence_flag else 0
 
 
 def cmd_ratio_sweep(cfg, out: Path, cfg_hash: str) -> int:
     from .rates import ratio_sweep
+    from .scaling import schedule_from_config
 
     params = _thermo(cfg)
     pot = potential_from_config(cfg["potential"], params.mass)
     P_list = cfg.get("p_list", [16, 32, 64, 128])
-    rows = ratio_sweep(
-        pot, _schedule(cfg), P_list, params, n_samples=cfg["n_samples"], seed=cfg["seed"]
-    )
+    sched = schedule_from_config(cfg.get("schedule"))
+    rows = ratio_sweep(pot, sched, P_list, params, n_samples=cfg["n_samples"], seed=cfg["seed"])
     write_csv(out / "ratio_sweep.csv", ["P", "ratio", "error", "divergence_flag"], rows, cfg_hash)
     all_flagged = all(r["divergence_flag"] for r in rows)
     return 3 if all_flagged else 0

@@ -10,8 +10,11 @@ F = exp(beta g_P^2 / 2 m P) * flux_sum for the harmonic-analysis flux
 
 Monte-Carlo backend: exact normal-mode sampling of the free ring polymer
 with the centroid drawn from a Gaussian proposal, re-weighted by the
-potential factor.  The delta constraint is realized by Gaussian windows of
-three fixed widths with linear extrapolation to zero width.
+potential factor; above 8 MB of paths the ensemble is drawn and evaluated
+in fixed blocks on a thread pool (``paths.map_free_ring_paths``), with
+results independent of the core count.  The delta constraint is realized
+by Gaussian windows of three fixed widths with linear extrapolation to
+zero width.
 
 Grid oracle, P <= 4: a midpoint-rule quadrature over the P - 1 fluctuation
 modes, with the delta constraint solved exactly for the centroid; it covers
@@ -25,7 +28,7 @@ import numpy as np
 
 from .density import log_rho_ring
 from .params import ThermoParams
-from .paths import fourier_mode_basis, free_ring_mode_std, free_ring_paths
+from .paths import fourier_mode_basis, free_ring_mode_std, free_ring_paths, map_free_ring_paths
 from .potentials import Potential
 from .surfaces import CentroidSurface, FourierNormSurface, Surface, f_eval, surface_factors
 
@@ -133,7 +136,10 @@ def rate_estimates(
     """Monte-Carlo estimates of both rate products from one shared ensemble.
 
     Free ring polymers are drawn exactly with a Gaussian centroid proposal
-    around d and re-weighted by the potential factor.  The delta constraint
+    around d and re-weighted by the potential factor.  The ensemble goes
+    through ``map_free_ring_paths`` once: each block of paths is reduced to
+    its potential sum, f and flux factors, so large ensembles are evaluated
+    in blocks on the worker pool and never held whole.  The delta constraint
     is a Gaussian window at each of WINDOW_WIDTHS * sigma_f, evaluated once
     for both flux factors; each rate is the zero-width intercept of the
     linear fit to its window means, and its error bar comes from the same
@@ -142,18 +148,20 @@ def rate_estimates(
     rng = np.random.default_rng(seed)
     sigma_c = params.hbar * np.sqrt(params.beta / params.mass)
     c = d + sigma_c * rng.standard_normal(n_samples)
-    q = free_ring_paths(params, n_samples, rng, centroid=c)
+
+    def per_path(q):
+        return (np.sum(pot.value(q), axis=-1), f_eval(spec, q), *integrand_factors(spec, q, params))
+
+    v_sum, f, F_rpmd, F_ha, lw = map_free_ring_paths(params, n_samples, rng, per_path, centroid=c)
     log_pi_c = -0.5 * ((c - d) / sigma_c) ** 2 - np.log(sigma_c * np.sqrt(2 * np.pi))
     # sqrt(m / 2 pi beta hbar^2) e^{-eps sum V} / pi_c(c)
     log_base = (
         0.5 * np.log(params.mass / (2.0 * np.pi * params.beta * params.hbar**2))
-        - params.epsilon * np.sum(pot.value(q), axis=-1)
+        - params.epsilon * v_sum
         - log_pi_c
     )
-    f = f_eval(spec, q)
     widths = WINDOW_WIDTHS * float(np.std(f))
     base_w = np.exp(log_base) * gaussian_window(f - d, widths[:, None])
-    F_rpmd, F_ha, lw = integrand_factors(spec, q, params)
     diverged = bool(np.any(lw > OVERFLOW_GUARD))
 
     pref = np.sqrt(params.bead_count / (2.0 * np.pi * params.mass * params.beta))

@@ -2,7 +2,9 @@
 
 Deterministic series evaluate single-mode sinusoidal paths against a
 Fourier-norm surface with a matching mode; stochastic series average over
-thermal free-particle paths against the quadratic-difference surface.
+thermal free-particle paths against the quadratic-difference surface,
+reduced block by block through ``paths.map_free_ring_paths`` (on the
+worker pool above 8 MB of paths).
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 from .closed_forms import tdiff_figure, tdiff_figure_amplitude
 from .fitting import fit_power_law
 from .params import ThermoParams
-from .paths import SinusoidalPathSpec, free_ring_paths, sinusoidal_path
+from .paths import SinusoidalPathSpec, map_free_ring_paths, sinusoidal_path
 from .surfaces import FourierNormSurface, QuadDiffSurface, g_p, surface_factors, t_diff
 
 DEFAULT_P_SWEEP = tuple(2**k for k in range(4, 13))  # 16 .. 4096
@@ -61,8 +63,11 @@ class ModeSchedule:
         return f"fracP({self.value:g})"
 
 
-def schedule_from_config(cfg) -> ModeSchedule:
-    """Accepts 'constant(2)', 'sqrtP', 'fracP(0.25)' or a dict."""
+def schedule_from_config(cfg=None) -> ModeSchedule:
+    """Accepts 'constant(2)', 'sqrtP', 'fracP(0.25)' or a dict; None gives
+    the default constant(1)."""
+    if cfg is None:
+        return ModeSchedule.constant(1)
     if isinstance(cfg, dict):
         return ModeSchedule(cfg["rule"], float(cfg.get("value", 1.0)))
     text = str(cfg).strip()
@@ -238,11 +243,15 @@ def quaddiff_orders(
         n = 1 if n_rule == "one" else P // 2
         spec = QuadDiffSurface(offset=n, phi=phi)
         pp = params.with_beads(P)
-        q = free_ring_paths(pp, n_paths, rng)
-        sf = surface_factors(spec, q, pp)
-        mean_b.append(float(np.mean(sf.b_p)))
-        mean_t.append(float(np.mean(np.abs(sf.t_diff(k)))))
-        mean_g.append(float(np.mean(np.abs(sf.g_p))))
+
+        def per_path(q):
+            sf = surface_factors(spec, q, pp)
+            return sf.b_p, np.abs(sf.t_diff(k)), np.abs(sf.g_p)
+
+        b, t, g = map_free_ring_paths(pp, n_paths, rng, per_path)
+        mean_b.append(float(np.mean(b)))
+        mean_t.append(float(np.mean(t)))
+        mean_g.append(float(np.mean(g)))
     series = {
         "b_p": ScalingSeries.from_points(f"b_p[{n_rule}]", P_list, mean_b),
         "t_diff": ScalingSeries.from_points(f"t_diff[{n_rule}]", P_list, mean_t),

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ThermoParams
+from .paths import BLOCK_ELEMS
 
 
 class SingularSurfaceError(ValueError):
@@ -88,10 +89,6 @@ Surface = CentroidSurface | FourierNormSurface | QuadDiffSurface
 
 # Relative floor below which the norm term counts as singular.
 _NORM_FLOOR = 1e-12
-
-# Elements per (rows, P) temporary in surface_factors: about 1 MB, so a
-# large batch costs no more scratch memory than one block.
-_BLOCK_ELEMS = 1 << 17
 
 
 def _check(spec: Surface, q) -> np.ndarray:
@@ -225,7 +222,7 @@ class SurfaceFactors:
 def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> SurfaceFactors:
     """B_P, T, flux sum, sum-difference and link-form g_P of each path.
 
-    One ``grad_f`` call per path, in row blocks of about _BLOCK_ELEMS
+    One ``grad_f`` call per path, in row blocks of about BLOCK_ELEMS
     elements.  With S = sum_k (T_{k+1} - T_k)^2 = 2 (1 - A), where
     A = sum_k T_k T_{k+1}, the rolled sums re-sum in closed form:
 
@@ -235,26 +232,36 @@ def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> Sur
     (S instead of A - 1: no cancellation, and exactly zero for a constant T).
     g_P = coef sum_k (q_{k+1} - q_k) T_k is a slice dot product plus the
     wrap-around term, with no rolled copy.
+
+    The centroid surface has the gradient 1/P on every path, so one row is
+    evaluated and broadcast (t_vec is then a read-only view): S = 0, and
+    g_P = 0 exactly, since the link sum telescopes.
     """
     q = _check(spec, q)
     P = q.shape[-1]
     lead = q.shape[:-1]
     flat = q.reshape(-1, P)
     n = flat.shape[0]
-    T = np.empty((n, P))
-    B, S, link = np.empty(n), np.empty(n), np.empty(n)
-    rows = max(1, _BLOCK_ELEMS // P)
-    for lo in range(0, n, rows):
-        blk = slice(lo, lo + rows)
-        qb, Tb = flat[blk], T[blk]
-        g = grad_f(spec, qb)
-        B[blk] = _rowdot(g, g)
-        if np.any(B[blk] == 0.0):
-            raise SingularSurfaceError("gradient vanishes; T undefined")
-        np.divide(g, np.sqrt(B[blk])[:, None], out=Tb)
-        dT = np.diff(Tb, axis=-1)
-        S[blk] = _rowdot(dT, dT) + (Tb[:, 0] - Tb[:, -1]) ** 2
-        link[blk] = _rowdot(np.diff(qb, axis=-1), Tb[:, :-1]) + (qb[:, 0] - qb[:, -1]) * Tb[:, -1]
+    if isinstance(spec, CentroidSurface):
+        g = grad_f(spec, flat[:1])
+        B = np.broadcast_to(_rowdot(g, g), (n,)).copy()
+        T = np.broadcast_to(g / np.sqrt(B[:1, None]), (n, P))
+        S, link = np.zeros(n), np.zeros(n)
+    else:
+        T = np.empty((n, P))
+        B, S, link = np.empty(n), np.empty(n), np.empty(n)
+        rows = max(1, BLOCK_ELEMS // P)
+        for lo in range(0, n, rows):
+            blk = slice(lo, lo + rows)
+            qb, Tb = flat[blk], T[blk]
+            g = grad_f(spec, qb)
+            B[blk] = _rowdot(g, g)
+            if np.any(B[blk] == 0.0):
+                raise SingularSurfaceError("gradient vanishes; T undefined")
+            np.divide(g, np.sqrt(B[blk])[:, None], out=Tb)
+            dT = np.diff(Tb, axis=-1)
+            S[blk] = _rowdot(dT, dT) + (Tb[:, 0] - Tb[:, -1]) ** 2
+            link[blk] = _rowdot(np.diff(qb, axis=-1), Tb[:, :-1]) + (qb[:, 0] - qb[:, -1]) * Tb[:, -1]
     root = np.sqrt(B)
     sum_diff = -0.25 * root * S
 

@@ -221,6 +221,20 @@ def test_rate_grid_oracle_centroid_dependent_mode_exits_2(tmp_path, capsys):
     assert not (out / "rate.json").exists()
 
 
+def test_rate_rejected_oracle_input_draws_no_path(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(rates, "rate_estimates", lambda *a, **k: calls.append(a))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "command: rate\n"
+        "thermo: {bead_count: 3}\n"
+        "surface: {kind: fourier_norm, mode: 3, phi: 0.5}\n"
+        "grid_oracle: true\n"
+    )
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert len(calls) == 0
+
+
 def test_config_schema_is_valid():
     jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 

@@ -57,6 +57,9 @@ def test_schedule_from_config():
     assert s.mode(32) == 8
     with pytest.raises(ValueError):
         schedule_from_config("cubic(2)")
+    # the CLI's schedules: none given, and a dict without a value
+    assert schedule_from_config(None) == ModeSchedule.constant(1)
+    assert schedule_from_config({"rule": "constant"}) == ModeSchedule.constant(1)
 
 
 def test_scaling_series_requires_increasing_P():

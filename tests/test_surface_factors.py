@@ -78,7 +78,7 @@ def surface_and_paths(draw):
         spec = FourierNormSurface(mode=draw(st.integers(0, P)), phi=phi)
     else:
         spec = QuadDiffSurface(offset=draw(st.integers(1, P - 1)), phi=phi)
-    block = max(1, surfaces._BLOCK_ELEMS // P)
+    block = max(1, surfaces.BLOCK_ELEMS // P)
     rows = draw(st.sampled_from([None, 1, 7, block - 1, block, block + 1, 2 * block + 3]))
     shape = (P,) if rows is None else (rows, P)
     seed = draw(st.integers(0, 2**32 - 1))
@@ -133,6 +133,22 @@ def test_link_and_cyclic_g_p_agree(case):
     assert_close("g_p", link, cyc, scales(q, params, B)["g_p"])
 
 
+@pytest.mark.parametrize("P", [2, 3, 8, 1024])
+def test_centroid_closed_form_matches_generic(P):
+    """The centroid's one-row closed form against the blocked gradient pass,
+    reached through a Fourier-norm surface at phi = 0, whose gradient is
+    the same 1/P on every bead."""
+    q = 0.7 * np.random.default_rng(P).standard_normal((50, P)) + 1.3
+    params = ThermoParams(bead_count=P)
+    closed = surface_factors(CentroidSurface(), q, params)
+    generic = surface_factors(FourierNormSurface(mode=1, phi=0.0), q, params)
+    sc = scales(q, params, generic.b_p)
+    for name in ("b_p", "t_vec", "flux_sum", "sum_difference", "g_p"):
+        got, want = getattr(closed, name), getattr(generic, name)
+        assert np.all(np.abs(got - want) <= 1e-15 * sc[name]), name
+    assert np.all(closed.g_p == 0.0)
+
+
 def test_single_path_gives_scalars():
     spec = QuadDiffSurface(offset=2, phi=0.6)
     q = np.random.default_rng(0).standard_normal(9)
@@ -146,7 +162,7 @@ def test_single_path_gives_scalars():
 def test_singular_row_raises_from_any_block():
     spec = FourierNormSurface(mode=3, phi=0.5)
     P = 16
-    q = np.random.default_rng(1).standard_normal((3 * (surfaces._BLOCK_ELEMS // P), P))
+    q = np.random.default_rng(1).standard_normal((3 * (surfaces.BLOCK_ELEMS // P), P))
     q[-1] = 1.0  # constant path: zero mode norm, in the last block
     with pytest.raises(SingularSurfaceError):
         surface_factors(spec, q)
@@ -172,16 +188,21 @@ def grad_rows(monkeypatch):
     ids=["centroid", "fourier", "quaddiff"],
 )
 def test_integrand_factors_one_gradient_per_path(grad_rows, spec):
-    P, n = 32, 3 * (surfaces._BLOCK_ELEMS // 32) + 5
+    P, n = 32, 3 * (surfaces.BLOCK_ELEMS // 32) + 5
     q = np.random.default_rng(2).standard_normal((n, P))
     integrand_factors(spec, q, ThermoParams(bead_count=P))
-    assert sum(grad_rows) == n
+    # the centroid gradient is 1/P on every path: one row, broadcast
+    assert sum(grad_rows) == (1 if isinstance(spec, CentroidSurface) else n)
 
 
 def test_rate_estimates_one_gradient_per_path(grad_rows):
     spec = FourierNormSurface(mode=2, phi=0.5)
     rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=16), n_samples=2000, seed=1)
     assert sum(grad_rows) == 2000
+    # n P above paths.INLINE_ELEMS: blocks evaluated on the worker pool
+    grad_rows.clear()
+    rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=256), n_samples=5000, seed=1)
+    assert sum(grad_rows) == 5000
 
 
 def test_quaddiff_orders_one_gradient_per_path(grad_rows):
