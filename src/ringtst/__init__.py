@@ -4,11 +4,7 @@ built on them, plus scaling sweeps comparing their large-P behavior."""
 
 __version__ = "0.1.0"
 
-from .density import (
-    log_rho_ring,
-    momentum_avg_exact_free,
-    momentum_avg_leading,
-)
+from .density import log_rho_ring
 from .params import ThermoParams
 from .paths import SinusoidalPathSpec, cyclic_shift, free_ring_paths, sinusoidal_path
 from .potentials import DoubleWell, Eckart, FreeParticle, Harmonic, Potential
@@ -34,16 +30,11 @@ from .surfaces import (
     QuadDiffSurface,
     SingularSurfaceError,
     SurfaceFactors,
-    b_p,
     equivalence_diagnostics,
     f_eval,
-    flux_sum,
     g_p,
     grad_f,
-    sum_difference,
     surface_factors,
-    t_diff,
-    t_vec,
 )
 
 __all__ = [
@@ -59,8 +50,6 @@ __all__ = [
     "cyclic_shift",
     "free_ring_paths",
     "log_rho_ring",
-    "momentum_avg_leading",
-    "momentum_avg_exact_free",
     "CentroidSurface",
     "FourierNormSurface",
     "QuadDiffSurface",
@@ -69,12 +58,7 @@ __all__ = [
     "surface_factors",
     "f_eval",
     "grad_f",
-    "b_p",
-    "t_vec",
     "g_p",
-    "t_diff",
-    "sum_difference",
-    "flux_sum",
     "equivalence_diagnostics",
     "ModeSchedule",
     "ScalingSeries",

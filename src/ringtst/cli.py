@@ -1,10 +1,18 @@
 """Command-line front end: validate a config, dispatch, write artifacts.
 
+Commands (``COMMANDS``): ``surface-check`` (g_P link/cyclic consistency
+and B_P statistics on random paths), ``scaling`` (P sweeps of the surface
+quantities on matching sinusoidal paths), ``figure1`` (the log-log dataset
+and fitted slopes), ``rate`` and ``ratio-sweep`` (the Monte-Carlo rate
+estimators).
+
 Exit codes: 0 success; 2 configuration/validation error, or a numerical
 failure (window extrapolation non-monotone, grid oracle not converged under
 refinement, harmonic-analysis weight overflow on the oracle grid), reported
 as one ``error:`` line on stderr; 3 run completed but produced only
-divergence diagnostics (artifacts still written).
+divergence diagnostics (artifacts still written): ``rate`` when a
+sample's harmonic-analysis log-weight passes the overflow guard,
+``ratio-sweep`` when that happens at every bead count.
 
 ``rate`` writes ``rate.json``: ``rate_report`` holds both rate products
 with error bars (``kza_rpmd``, ``kza_ha``), their ratio, the divergence
@@ -34,7 +42,7 @@ from .rates import GridConvergenceError, WindowExtrapolationError
 from .report import config_sha256, write_csv, write_json
 from .surfaces import surface_from_config
 
-COMMANDS = ("surface-check", "scaling", "figure1", "rate", "ratio-sweep", "momenta-check")
+COMMANDS = ("surface-check", "scaling", "figure1", "rate", "ratio-sweep")
 
 _SCHEDULE_SCHEMA = {
     "type": "object",
@@ -84,8 +92,6 @@ CONFIG_SCHEMA = {
                 "mode": {"type": "integer", "minimum": 0},
                 "offset": {"type": "integer", "minimum": 1},
                 "phi": {"type": "number"},
-                "phi_floor": {"type": "number", "minimum": 0},
-                "norm_scale": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "schedule": _SCHEDULE_SCHEMA,
@@ -186,7 +192,7 @@ def cmd_scaling(cfg, out: Path, cfg_hash: str) -> int:
         tdiff_series(sched, k=cfg["k_index"], alpha=alpha, P_list=P_list, variant="figure"),
         tdiff_series(sched, k=cfg["k_index"], alpha=alpha, P_list=P_list, variant="amplitude"),
         gp_series(sched, 1.0, P_list, params, alpha=alpha),
-        sumdiff_series(sched, P_list),
+        sumdiff_series(sched, P_list, alpha=alpha),
     ]
     rows = [
         {"quantity": s.quantity_name, "P": P, "value": v}
@@ -274,32 +280,12 @@ def cmd_surface_check(cfg, out: Path, cfg_hash: str) -> int:
     return 0
 
 
-def cmd_momenta_check(cfg, out: Path, cfg_hash: str) -> int:
-    from .density import momentum_avg_exact_free, momentum_avg_leading
-
-    params = _thermo(cfg)
-    rng = np.random.default_rng(cfg["seed"])
-    P = params.bead_count
-    worst = 0.0
-    for _ in range(200):
-        q = rng.standard_normal(P)
-        eta = np.zeros(P)
-        for k in range(P):
-            lead = momentum_avg_leading("plus", k, q, eta, params)
-            exact = momentum_avg_exact_free(q[(k - 1) % P], q[k], params.epsilon, params)
-            worst = max(worst, abs(lead - exact))
-    payload = {"max_abs_deviation": worst, "n_configs": 200, "bead_count": P}
-    write_json(out / "momenta_check.json", payload, cfg_hash)
-    return 0
-
-
 _DISPATCH = {
     "figure1": cmd_figure1,
     "scaling": cmd_scaling,
     "rate": cmd_rate,
     "ratio-sweep": cmd_ratio_sweep,
     "surface-check": cmd_surface_check,
-    "momenta-check": cmd_momenta_check,
 }
 
 

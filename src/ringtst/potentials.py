@@ -1,7 +1,7 @@
-"""One-dimensional model potentials with analytic derivatives.
+"""One-dimensional model potentials.
 
-Each potential exposes ``value`` and ``derivative``, both vectorized over
-numpy arrays.
+Each potential exposes ``value``, vectorized over numpy arrays.  No
+estimator needs forces, since every path is an exact free-ring draw.
 """
 from __future__ import annotations
 
@@ -12,21 +12,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Potential:
-    """Base class; subclasses fill in value and derivative."""
+    """Base class; subclasses fill in value."""
 
     def value(self, x):
-        raise NotImplementedError
-
-    def derivative(self, x):
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class FreeParticle(Potential):
     def value(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def derivative(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
@@ -40,9 +34,6 @@ class Harmonic(Potential):
     def value(self, x):
         return 0.5 * self.mass * self.omega**2 * np.asarray(x, dtype=float) ** 2
 
-    def derivative(self, x):
-        return self.mass * self.omega**2 * np.asarray(x, dtype=float)
-
 
 @dataclass(frozen=True)
 class Eckart(Potential):
@@ -53,11 +44,6 @@ class Eckart(Potential):
 
     def value(self, x):
         return self.v0 / np.cosh(np.asarray(x, dtype=float) / self.a) ** 2
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        s = 1.0 / np.cosh(x / self.a)
-        return -2.0 * self.v0 * s**2 * np.tanh(x / self.a) / self.a
 
 
 @dataclass(frozen=True)
@@ -70,11 +56,6 @@ class DoubleWell(Potential):
     def value(self, x):
         u = (np.asarray(x, dtype=float) / self.q0) ** 2 - 1.0
         return self.v0 * u**2
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        u = (x / self.q0) ** 2 - 1.0
-        return 4.0 * self.v0 * u * x / self.q0**2
 
 
 def from_config(cfg: dict, mass: float = 1.0) -> Potential:

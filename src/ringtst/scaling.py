@@ -16,7 +16,7 @@ from .closed_forms import tdiff_figure, tdiff_figure_amplitude
 from .fitting import fit_power_law
 from .params import ThermoParams
 from .paths import SinusoidalPathSpec, map_free_ring_paths, sinusoidal_path
-from .surfaces import FourierNormSurface, QuadDiffSurface, g_p, surface_factors, t_diff
+from .surfaces import FourierNormSurface, QuadDiffSurface, g_p, surface_factors
 
 DEFAULT_P_SWEEP = tuple(2**k for k in range(4, 13))  # 16 .. 4096
 STOCHASTIC_P_SWEEP = tuple(2**k for k in range(4, 10))  # 16 .. 512
@@ -63,20 +63,12 @@ class ModeSchedule:
         return f"fracP({self.value:g})"
 
 
-def schedule_from_config(cfg=None) -> ModeSchedule:
-    """Accepts 'constant(2)', 'sqrtP', 'fracP(0.25)' or a dict; None gives
-    the default constant(1)."""
+def schedule_from_config(cfg: dict | None = None) -> ModeSchedule:
+    """The config's ``schedule`` mapping, {'rule': ..., 'value': ...} with
+    value defaulting to 1; None gives the default constant(1)."""
     if cfg is None:
         return ModeSchedule.constant(1)
-    if isinstance(cfg, dict):
-        return ModeSchedule(cfg["rule"], float(cfg.get("value", 1.0)))
-    text = str(cfg).strip()
-    if text == "sqrtP":
-        return ModeSchedule.sqrt_p()
-    for prefix, ctor in (("constant", ModeSchedule.constant), ("fracP", ModeSchedule.frac_p)):
-        if text.startswith(prefix + "(") and text.endswith(")"):
-            return ctor(float(text[len(prefix) + 1 : -1]))
-    raise ValueError(f"cannot parse schedule: {cfg!r}")
+    return ModeSchedule(cfg["rule"], float(cfg.get("value", 1.0)))
 
 
 @dataclass(frozen=True)
@@ -122,8 +114,7 @@ def tdiff_series(
                          figure (oscillates through phase zeros as P varies,
                          so finite-range slope fits are biased);
     variant='amplitude': its smooth oscillation envelope, whose fitted slope
-                         recovers the asymptotic exponent;
-    variant='generic':   the gradient-based evaluation at phi = pi/2.
+                         recovers the asymptotic exponent.
     """
     values = []
     for P in P_list:
@@ -132,9 +123,6 @@ def tdiff_series(
             v = abs(float(tdiff_figure(P, n, k=k, alpha=alpha)))
         elif variant == "amplitude":
             v = float(tdiff_figure_amplitude(P, n))
-        elif variant == "generic":
-            spec, q = _matching_pair(schedule, P, 1.0, alpha, np.pi / 2)
-            v = abs(float(t_diff(spec, q, k)))
         else:
             raise ValueError(f"unknown variant: {variant!r}")
         values.append(v)
@@ -161,14 +149,13 @@ def sumdiff_series(
     schedule: ModeSchedule,
     P_list=DEFAULT_P_SWEEP,
     phi: float = np.pi / 2,
+    alpha: float = 0.0,
 ) -> ScalingSeries:
     """|sum-difference| on matching sinusoidal paths, generic evaluation."""
-    from .surfaces import sum_difference
-
     values = []
     for P in P_list:
-        spec, q = _matching_pair(schedule, P, 1.0, 0.0, phi)
-        values.append(abs(float(sum_difference(spec, q))))
+        spec, q = _matching_pair(schedule, P, 1.0, alpha, phi)
+        values.append(abs(float(surface_factors(spec, q).sum_difference)))
     return ScalingSeries.from_points(f"sumdiff[{schedule.label}]", P_list, values)
 
 

@@ -14,9 +14,9 @@ Three surface families over a P-bead cyclic path q:
 
 All evaluators operate on the last axis, so a batch of paths with shape
 (n_paths, P) is handled in one call.  ``surface_factors`` is the one
-evaluator of the gradient-derived quantities (B_P, T, flux sum,
-sum-difference, g_P); ``b_p``, ``t_vec``, ``flux_sum``, ``sum_difference``,
-``t_diff`` and the link form of ``g_p`` are views of it.
+evaluator of the gradient-derived quantities: B_P, T, the flux sum, the
+sum-difference and g_P are attributes of the ``SurfaceFactors`` it returns,
+and the link form of ``g_p`` reads the same attribute.
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ class FourierNormSurface:
     """Centroid mixed with the norm of one Fourier mode of the path.
 
     cos(phi) must stay away from zero, otherwise the surface loses all
-    information about the average position; the floor is configurable
-    because "close to zero" is a modeling choice.
+    information about the average position.  The floor is a field, not a
+    config key: the matching-path sweeps set it to 0 to reach phi = pi/2.
     """
 
     mode: int
@@ -65,14 +65,11 @@ class QuadDiffSurface:
 
     offset: int
     phi: float
-    norm_scale: float = 1.0
     phi_floor: float = 1e-3
 
     def __post_init__(self):
         if self.offset < 1:
             raise ValueError("offset must be >= 1")
-        if self.norm_scale <= 0.0:
-            raise ValueError("norm_scale must be positive")
         if abs(np.cos(self.phi)) < self.phi_floor:
             raise ValueError(
                 f"|cos(phi)| = {abs(np.cos(self.phi)):.3e} below floor {self.phi_floor:.1e}"
@@ -80,9 +77,7 @@ class QuadDiffSurface:
 
     def norm_factor(self, bead_count: int) -> float:
         """R(n): order 1 for n = O(1), order sqrt(P) for n near P/2."""
-        return self.norm_scale * max(
-            1.0, np.sqrt(2.0 * bead_count) * np.sin(np.pi * self.offset / bead_count)
-        )
+        return max(1.0, np.sqrt(2.0 * bead_count) * np.sin(np.pi * self.offset / bead_count))
 
 
 Surface = CentroidSurface | FourierNormSurface | QuadDiffSurface
@@ -277,16 +272,6 @@ def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> Sur
     )
 
 
-def b_p(spec: Surface, q):
-    """Squared gradient norm B_P = sum_k (df/dq_k)^2."""
-    return surface_factors(spec, q).b_p
-
-
-def t_vec(spec: Surface, q):
-    """Unit-normalized gradient T_k = (df/dq_k) / sqrt(B_P)."""
-    return surface_factors(spec, q).t_vec
-
-
 def g_p(spec: Surface, q, params: ThermoParams, form: str = "link"):
     """Path-dependent coupling g_P(q).
 
@@ -310,25 +295,6 @@ def g_p(spec: Surface, q, params: ThermoParams, form: str = "link"):
         dq = q - np.mean(q, axis=-1, keepdims=True)
         return coef * np.sum(dq * (np.roll(T, 1, axis=-1) - T), axis=-1)
     raise ValueError("form must be 'link' or 'cyclic'")
-
-
-def t_diff(spec: Surface, q, k: int):
-    """Backward unit-gradient difference T_{k-1} - T_k (cyclic in k)."""
-    return surface_factors(spec, q).t_diff(k)
-
-
-def sum_difference(spec: Surface, q):
-    """(1/4) sum_k (df/dq_k) [(T_{k-1} - T_k) + (T_{k+1} - T_k)].
-
-    This is exactly the amount by which the smoothed flux sum exceeds
-    sqrt(B_P); it vanishes for the centroid surface.
-    """
-    return surface_factors(spec, q).sum_difference
-
-
-def flux_sum(spec: Surface, q):
-    """sum_k (df/dq_k) (T_{k-1} + 2 T_k + T_{k+1}) / 4 = sqrt(B_P) + sum_difference."""
-    return surface_factors(spec, q).flux_sum
 
 
 @dataclass(frozen=True)
@@ -406,16 +372,7 @@ def surface_from_config(cfg: dict) -> Surface:
     if kind == "centroid":
         return CentroidSurface()
     if kind == "fourier_norm":
-        return FourierNormSurface(
-            mode=cfg["mode"],
-            phi=cfg.get("phi", np.pi / 4),
-            phi_floor=cfg.get("phi_floor", 1e-3),
-        )
+        return FourierNormSurface(mode=cfg["mode"], phi=cfg.get("phi", np.pi / 4))
     if kind == "quad_diff":
-        return QuadDiffSurface(
-            offset=cfg["offset"],
-            phi=cfg.get("phi", np.pi / 4),
-            norm_scale=cfg.get("norm_scale", 1.0),
-            phi_floor=cfg.get("phi_floor", 1e-3),
-        )
+        return QuadDiffSurface(offset=cfg["offset"], phi=cfg.get("phi", np.pi / 4))
     raise ValueError(f"unknown surface kind: {kind!r}")

@@ -35,14 +35,11 @@ from ringtst.surfaces import (
     CentroidSurface,
     FourierNormSurface,
     QuadDiffSurface,
-    b_p,
     equivalence_diagnostics,
     f_eval,
     g_p,
     grad_f,
-    sum_difference,
-    t_diff,
-    t_vec,
+    surface_factors,
 )
 
 PARAMS = ThermoParams()
@@ -152,7 +149,7 @@ def test_criterion_2_stochastic_gp_half_offset(stochastic_orders):
 def test_criterion_3_spot_value_tdiff():
     spec = FourierNormSurface(mode=4, phi=np.pi / 2, phi_floor=0.0)
     q = sinusoidal_path(SinusoidalPathSpec(0.0, 1.0, 4, 0.0), 16)
-    got = abs(t_diff(spec, q, 2))
+    got = abs(surface_factors(spec, q).t_diff(2))
     ok = abs(got - 0.7071068) <= 1e-7
     report(3, "spot value |T_1 - T_2| = 0.7071068 via generic code", ok, f"generic {got:.7f}")
     if not ok:
@@ -166,7 +163,7 @@ def test_criterion_3_spot_value_tdiff():
 def test_criterion_3_spot_value_sumdiff():
     spec = FourierNormSurface(mode=3, phi=np.pi / 4)
     q = sinusoidal_path(SinusoidalPathSpec(0.0, 1.0, 3, 0.0), 12)
-    got = abs(sum_difference(spec, q))
+    got = abs(surface_factors(spec, q).sum_difference)
     ok = abs(got - 0.0721688) <= 1e-7
     assert report(3, "spot value |sum-difference| = 0.0721688", ok, f"generic {got:.7f}")
 
@@ -195,9 +192,9 @@ def test_criterion_4_identity_suite():
         link = g_p(spec, q_big, PARAMS, form="link")
         cyc = g_p(spec, q_big, PARAMS, form="cyclic")
         ok &= bool(np.all(np.abs(link - cyc) <= 1e-10 * np.maximum(np.abs(link), 1.0)))
-        T = t_vec(spec, q_big)
-        flux = np.sum(grad_f(spec, q_big) * T, axis=-1)
-        ok &= bool(np.max(np.abs(flux - np.sqrt(b_p(spec, q_big)))) < 1e-12)
+        sf = surface_factors(spec, q_big)
+        flux = np.sum(grad_f(spec, q_big) * sf.t_vec, axis=-1)
+        ok &= bool(np.max(np.abs(flux - np.sqrt(sf.b_p))) < 1e-12)
         q1 = q_big[0]
         g = grad_f(spec, q1)
         h = 1e-6
@@ -215,7 +212,7 @@ def test_criterion_4_identity_suite():
             for a, b in zip(base_int, shifted):
                 ok &= abs(b - a) <= 1e-9 * max(abs(a), 1.0)
     fn = FourierNormSurface(mode=5, phi=1.1)
-    ok &= bool(np.max(np.abs(b_p(fn, q_big) - 1.0 / P)) < 1e-12)
+    ok &= bool(np.max(np.abs(surface_factors(fn, q_big).b_p - 1.0 / P)) < 1e-12)
     from ringtst.density import log_rho_ring
 
     pot = Harmonic(omega=1.0)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -13,13 +14,15 @@ def run(tmp_path, *argv):
     return main(["--out", str(tmp_path), *argv])
 
 
-def test_momenta_check(tmp_path):
-    assert run(tmp_path, "--command", "momenta-check") == 0
-    doc = json.loads((tmp_path / "momenta_check.json").read_text())
-    assert doc["max_abs_deviation"] == 0.0
-    assert "config_sha256" in doc
-    assert doc["library_version"] == ringtst.__version__ != "0.0.0"
-    assert doc["schema_version"] == 1
+def test_exports_resolve():
+    missing = [name for name in ringtst.__all__ if not hasattr(ringtst, name)]
+    assert missing == []
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"^Commands:(.*?)\.\s", readme, re.MULTILINE | re.DOTALL).group(1)
+    assert tuple(re.findall(r"`([^`]+)`", sentence)) == cli.COMMANDS
 
 
 def test_figure1_default(tmp_path):
@@ -129,6 +132,14 @@ def test_surface_d_rejected(tmp_path):
     assert not (out / "rate.json").exists()
 
 
+def test_surface_norm_scale_rejected(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("command: rate\nsurface: {kind: quad_diff, offset: 1, norm_scale: 2}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_scaling_command(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
@@ -141,6 +152,15 @@ def test_scaling_command(tmp_path):
     assert (tmp_path / "scaling.csv").exists()
 
 
+def test_scaling_half_mode_schedule(tmp_path):
+    # the half-mode path vanishes at alpha = 0, so every series moves to pi/4
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("command: scaling\nschedule: {rule: fracP, value: 0.5}\np_list: [16, 32, 64, 128]\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "scaling_summary.json").read_text())
+    assert len(doc["series"]) == 4
+
+
 def test_surface_check_command(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("command: surface-check\nsurface: {kind: fourier_norm, mode: 3, phi: 0.7}\n")
@@ -149,6 +169,9 @@ def test_surface_check_command(tmp_path):
     assert doc["max_rel_gp_form_mismatch"] < 1e-10
     assert doc["max_unit_norm_deviation"] < 1e-12
     assert doc["b_p_std"] < 1e-12  # path independent for this surface family
+    assert "config_sha256" in doc
+    assert doc["library_version"] == ringtst.__version__ != "0.0.0"
+    assert doc["schema_version"] == 1
 
 
 def test_ratio_sweep_command(tmp_path):
@@ -166,11 +189,25 @@ def test_ratio_sweep_command(tmp_path):
     assert len(lines) == 5
 
 
+def test_all_divergent_exits_3_with_artifacts(tmp_path, monkeypatch):
+    # every harmonic-analysis log-weight is >= 0, so a guard of -1 flags them all
+    monkeypatch.setattr(rates, "OVERFLOW_GUARD", -1.0)
+    assert main(["--command", "rate", "--out", str(tmp_path / "rate")]) == 3
+    doc = json.loads((tmp_path / "rate" / "rate.json").read_text())
+    assert doc["rate_report"]["divergence_flag"] is True
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("command: ratio-sweep\np_list: [16, 32]\nn_samples: 2000\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 3
+    lines = (tmp_path / "sweep" / "ratio_sweep.csv").read_text().splitlines()
+    assert [line.split(",")[-1] for line in lines[3:]] == ["true", "true"]
+
+
 def test_flag_overrides_config(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("command: rate\n")
-    assert main(["--config", str(cfg), "--command", "momenta-check", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "momenta_check.json").exists()
+    assert main(["--config", str(cfg), "--command", "surface-check", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "surface_check.json").exists()
+    assert not (tmp_path / "rate.json").exists()
 
 
 def test_rate_grid_oracle_skipped_beyond_four_beads(tmp_path, capsys):

@@ -12,15 +12,6 @@ ALL = [
 
 
 @pytest.mark.parametrize("pot", ALL, ids=lambda p: type(p).__name__)
-def test_derivative_matches_finite_difference(pot):
-    xs = np.linspace(-2.5, 2.5, 31)
-    h = 1e-5
-    fd = (pot.value(xs + h) - pot.value(xs - h)) / (2 * h)
-    scale = np.maximum(np.abs(fd), 1.0)
-    assert np.max(np.abs(pot.derivative(xs) - fd) / scale) < 1e-6
-
-
-@pytest.mark.parametrize("pot", ALL, ids=lambda p: type(p).__name__)
 def test_value_finite(pot):
     xs = np.linspace(-50, 50, 101)
     assert np.all(np.isfinite(pot.value(xs)))
@@ -30,7 +21,6 @@ def test_eckart_barrier_shape():
     pot = Eckart(v0=2.0, a=0.5)
     assert pot.value(0.0) == pytest.approx(2.0)
     assert pot.value(10.0) < 1e-6
-    assert pot.derivative(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_double_well_minima():

@@ -50,14 +50,12 @@ def test_mode_schedule_rules():
 
 
 def test_schedule_from_config():
-    assert schedule_from_config("sqrtP").rule == "sqrtP"
-    s = schedule_from_config("constant(2)")
+    assert schedule_from_config({"rule": "sqrtP"}) == ModeSchedule.sqrt_p()
+    s = schedule_from_config({"rule": "constant", "value": 2})
     assert s.rule == "constant" and s.mode(8) == 2
     s = schedule_from_config({"rule": "fracP", "value": 0.25})
     assert s.mode(32) == 8
-    with pytest.raises(ValueError):
-        schedule_from_config("cubic(2)")
-    # the CLI's schedules: none given, and a dict without a value
+    # none given, and a mapping without a value
     assert schedule_from_config(None) == ModeSchedule.constant(1)
     assert schedule_from_config({"rule": "constant"}) == ModeSchedule.constant(1)
 

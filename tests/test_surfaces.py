@@ -19,17 +19,13 @@ from ringtst.surfaces import (
     FourierNormSurface,
     QuadDiffSurface,
     SingularSurfaceError,
-    b_p,
     equivalence_diagnostics,
     f_eval,
-    flux_sum,
     fourier_mode_norm,
     g_p,
     grad_f,
     is_singular,
-    sum_difference,
-    t_diff,
-    t_vec,
+    surface_factors,
 )
 
 PARAMS = ThermoParams(bead_count=16)
@@ -73,7 +69,7 @@ def test_fourier_norm_b_p_path_independent():
     spec = FourierNormSurface(mode=3, phi=np.pi / 4)
     rng = np.random.default_rng(2)
     q = rng.standard_normal((200, 16))
-    assert b_p(spec, q) == pytest.approx(np.full(200, 1.0 / 16.0), rel=1e-12)
+    assert surface_factors(spec, q).b_p == pytest.approx(np.full(200, 1.0 / 16.0), rel=1e-12)
 
 
 def test_gp_link_and_cyclic_forms_agree():
@@ -90,28 +86,30 @@ def test_gp_link_and_cyclic_forms_agree():
 def test_t_vec_unit_norm_and_flux_identity(spec):
     rng = np.random.default_rng(4)
     q = rng.standard_normal((50, 16))
-    T = t_vec(spec, q)
+    sf = surface_factors(spec, q)
+    T = sf.t_vec
     assert np.sum(T**2, axis=-1) == pytest.approx(np.ones(50), abs=1e-12)
     lhs = np.sum(grad_f(spec, q) * T, axis=-1)
-    assert lhs == pytest.approx(np.sqrt(b_p(spec, q)), abs=1e-12)
+    assert lhs == pytest.approx(np.sqrt(sf.b_p), abs=1e-12)
 
 
 def test_flux_sum_decomposition():
     rng = np.random.default_rng(5)
     q = rng.standard_normal((20, 16))
     for spec in SURFACES:
-        fs = flux_sum(spec, q)
-        assert fs == pytest.approx(np.sqrt(b_p(spec, q)) + sum_difference(spec, q), abs=1e-12)
+        sf = surface_factors(spec, q)
+        assert sf.flux_sum == pytest.approx(np.sqrt(sf.b_p) + sf.sum_difference, abs=1e-12)
 
 
 def test_centroid_trivia():
     q = np.random.default_rng(6).standard_normal(16)
     spec = CentroidSurface()
     assert np.all(grad_f(spec, q) == 1.0 / 16.0)
-    assert np.all(t_vec(spec, q) == 0.25)
+    sf = surface_factors(spec, q)
+    assert np.all(sf.t_vec == 0.25)
     assert g_p(spec, q, PARAMS) == pytest.approx(0.0, abs=1e-12)
-    assert t_diff(spec, q, 5) == 0.0
-    assert sum_difference(spec, q) == pytest.approx(0.0, abs=1e-15)
+    assert sf.t_diff(5) == 0.0
+    assert sf.sum_difference == pytest.approx(0.0, abs=1e-15)
 
 
 def test_f_eval_matching_sinusoidal_closed_form():
@@ -133,7 +131,7 @@ def test_t_vec_sinusoidal_closed_form():
     q = sinusoidal_path(SinusoidalPathSpec(0.0, 1.0, n, alpha), P)
     k = np.arange(P)
     expected = (np.cos(phi) + np.sqrt(2) * np.sin(phi) * np.sin(2 * np.pi * n * k / P + alpha)) / np.sqrt(P)
-    assert t_vec(spec, q) == pytest.approx(expected, abs=1e-12)
+    assert surface_factors(spec, q).t_vec == pytest.approx(expected, abs=1e-12)
 
 
 def test_mode_norm_sinusoidal():
@@ -145,7 +143,7 @@ def test_tdiff_generic_matches_gradient_closed_form():
     for P, n, k, alpha, phi in [(16, 3, 2, 0.0, np.pi / 2), (64, 5, 4, 0.3, 1.0), (256, 2, 2, 1.1, 0.7)]:
         spec = FourierNormSurface(mode=n, phi=phi, phi_floor=0.0)
         q = sinusoidal_path(SinusoidalPathSpec(0.0, 1.0, n, alpha), P)
-        assert t_diff(spec, q, k) == pytest.approx(
+        assert surface_factors(spec, q).t_diff(k) == pytest.approx(
             float(tdiff_gradient(P, n, k=k, alpha=alpha, phi=phi)), abs=1e-10
         )
 
@@ -154,7 +152,7 @@ def test_sumdiff_generic_matches_gradient_closed_form():
     for P, n, phi in [(16, 3, np.pi / 4), (12, 3, np.pi / 4), (64, 7, 1.0)]:
         spec = FourierNormSurface(mode=n, phi=phi)
         q = sinusoidal_path(SinusoidalPathSpec(0.0, 1.0, n, 0.0), P)
-        assert sum_difference(spec, q) == pytest.approx(
+        assert surface_factors(spec, q).sum_difference == pytest.approx(
             float(sum_difference_gradient(P, n, phi=phi)), abs=1e-10
         )
 
@@ -165,7 +163,7 @@ def test_sumdiff_figure_form_magnitude_at_quarter_mode():
     assert val == pytest.approx(0.0721688, abs=1e-7)
     spec = FourierNormSurface(mode=3, phi=np.pi / 4)
     q = sinusoidal_path(SinusoidalPathSpec(0.0, 1.0, 3, 0.0), 12)
-    assert abs(sum_difference(spec, q)) == pytest.approx(val, abs=1e-10)
+    assert abs(surface_factors(spec, q).sum_difference) == pytest.approx(val, abs=1e-10)
 
 
 def test_sumdiff_root_of_bracket():
@@ -189,8 +187,9 @@ def test_half_mode_closed_forms_match_generic():
     P, phi = 16, np.pi / 4
     spec = FourierNormSurface(mode=P // 2, phi=phi)
     q = sinusoidal_path(SinusoidalPathSpec(0.0, 1.0, P // 2, np.pi / 4), P)
-    assert b_p(spec, q) == pytest.approx(float(half_mode_b_p(phi, P)), abs=1e-12)
-    assert abs(t_diff(spec, q, 2)) == pytest.approx(float(half_mode_tdiff_abs(phi, P)), abs=1e-10)
+    sf = surface_factors(spec, q)
+    assert sf.b_p == pytest.approx(float(half_mode_b_p(phi, P)), abs=1e-12)
+    assert abs(sf.t_diff(2)) == pytest.approx(float(half_mode_tdiff_abs(phi, P)), abs=1e-10)
     assert g_p(spec, q, PARAMS) == pytest.approx(float(half_mode_gp(phi, q, PARAMS)), rel=1e-10)
 
 
