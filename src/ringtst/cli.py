@@ -1,7 +1,8 @@
 """Command-line front end: validate a config, dispatch, write artifacts.
 
-Commands (``COMMANDS``): ``surface-check`` (g_P link/cyclic consistency
-and B_P statistics on random paths), ``scaling`` (P sweeps of the surface
+Commands (``COMMANDS``): ``surface-check`` (one ``surface_factors`` pass
+over 1000 random paths: B_P and f statistics, and its g_P against the
+cyclic form of ``surfaces.g_p``), ``scaling`` (P sweeps of the surface
 quantities on matching sinusoidal paths), ``figure1`` (the log-log dataset
 and fitted slopes), ``rate`` and ``ratio-sweep`` (the Monte-Carlo rate
 estimators).
@@ -101,7 +102,6 @@ CONFIG_SCHEMA = {
             "minItems": 2,
         },
         "n_samples": {"type": "integer", "minimum": 100},
-        "n_paths": {"type": "integer", "minimum": 100},
         "d": {"type": "number"},
         "k_index": {"type": "integer", "minimum": 0},
         "alpha": {"type": "number"},
@@ -117,7 +117,6 @@ DEFAULTS = {
     "potential": {"kind": "free"},
     "surface": {"kind": "centroid"},
     "n_samples": 100_000,
-    "n_paths": 10_000,
     "k_index": 2,
     "alpha": 0.0,
     "grid_oracle": False,
@@ -258,14 +257,14 @@ def cmd_ratio_sweep(cfg, out: Path, cfg_hash: str) -> int:
 
 
 def cmd_surface_check(cfg, out: Path, cfg_hash: str) -> int:
-    from .surfaces import f_eval, g_p, surface_factors
+    from .surfaces import g_p, surface_factors
 
     params = _thermo(cfg)
     spec = surface_from_config(cfg["surface"])
     rng = np.random.default_rng(cfg["seed"])
     q = rng.standard_normal((1000, params.bead_count))
     sf = surface_factors(spec, q, params)
-    g_cyc = g_p(spec, q, params, form="cyclic")
+    g_cyc = g_p(spec, q, params)
     denom = np.maximum(np.abs(sf.g_p), 1e-300)
     payload = {
         "bead_count": params.bead_count,
@@ -274,7 +273,7 @@ def cmd_surface_check(cfg, out: Path, cfg_hash: str) -> int:
         "max_unit_norm_deviation": float(np.max(np.abs(np.sum(sf.t_vec**2, axis=-1) - 1.0))),
         "b_p_mean": float(np.mean(sf.b_p)),
         "b_p_std": float(np.std(sf.b_p)),
-        "f_mean": float(np.mean(f_eval(spec, q))),
+        "f_mean": float(np.mean(sf.f)),
     }
     write_json(out / "surface_check.json", payload, cfg_hash)
     return 0

@@ -8,6 +8,10 @@ with F = sqrt(B_P) for the ring-polymer flux and
 F = exp(beta g_P^2 / 2 m P) * flux_sum for the harmonic-analysis flux
 (the eta0 Gaussian integral done in closed form).
 
+Both backends take f and the flux factors of each path from one
+``surfaces.surface_factors`` pass (``integrand_factors`` turns its
+SurfaceFactors into F_rpmd and F_ha); neither calls ``f_eval``.
+
 Monte-Carlo backend: exact normal-mode sampling of the free ring polymer
 with the centroid drawn from a Gaussian proposal, re-weighted by the
 potential factor; above 8 MB of paths the ensemble is drawn and evaluated
@@ -30,7 +34,7 @@ from .density import log_rho_ring
 from .params import ThermoParams
 from .paths import fourier_mode_basis, free_ring_mode_std, free_ring_paths, map_free_ring_paths
 from .potentials import Potential
-from .surfaces import CentroidSurface, FourierNormSurface, Surface, f_eval, surface_factors
+from .surfaces import CentroidSurface, FourierNormSurface, Surface, SurfaceFactors, f_eval, surface_factors
 
 # log-weight bound beyond which the harmonic-analysis factor counts as
 # divergent at this bead count
@@ -112,12 +116,12 @@ def ha_log_weight(g, params: ThermoParams):
     return params.beta * g**2 / (2.0 * params.mass * params.bead_count)
 
 
-def integrand_factors(spec: Surface, q, params: ThermoParams):
-    """Per-configuration flux factors (F_rpmd, F_ha, log_weight).
+def integrand_factors(sf: SurfaceFactors, params: ThermoParams):
+    """Per-configuration flux factors (F_rpmd, F_ha, log_weight) from the
+    surface factors of the paths (with g_P, so computed with ``params``).
 
     F_ha is inf where the log-weight exceeds the overflow guard.
     """
-    sf = surface_factors(spec, q, params)
     lw = ha_log_weight(sf.g_p, params)
     with np.errstate(over="ignore"):
         F_ha = np.where(lw > OVERFLOW_GUARD, np.inf, np.exp(np.minimum(lw, OVERFLOW_GUARD)) * sf.flux_sum)
@@ -138,8 +142,9 @@ def rate_estimates(
     Free ring polymers are drawn exactly with a Gaussian centroid proposal
     around d and re-weighted by the potential factor.  The ensemble goes
     through ``map_free_ring_paths`` once: each block of paths is reduced to
-    its potential sum, f and flux factors, so large ensembles are evaluated
-    in blocks on the worker pool and never held whole.  The delta constraint
+    its potential sum, then to f and the flux factors of one
+    ``surface_factors`` pass, so large ensembles are evaluated in blocks on
+    the worker pool and never held whole.  The delta constraint
     is a Gaussian window at each of WINDOW_WIDTHS * sigma_f, evaluated once
     for both flux factors; each rate is the zero-width intercept of the
     linear fit to its window means, and its error bar comes from the same
@@ -150,7 +155,11 @@ def rate_estimates(
     c = d + sigma_c * rng.standard_normal(n_samples)
 
     def per_path(q):
-        return (np.sum(pot.value(q), axis=-1), f_eval(spec, q), *integrand_factors(spec, q, params))
+        # the potential is summed first: its path-sized temporary is freed
+        # before surface_factors allocates t_vec
+        v = np.sum(pot.value(q), axis=-1)
+        sf = surface_factors(spec, q, params)
+        return (v, sf.f, *integrand_factors(sf, params))
 
     v_sum, f, F_rpmd, F_ha, lw = map_free_ring_paths(params, n_samples, rng, per_path, centroid=c)
     log_pi_c = -0.5 * ((c - d) / sigma_c) ** 2 - np.log(sigma_c * np.sqrt(2 * np.pi))
@@ -217,7 +226,11 @@ def grid_oracle_rate(pot: Potential, spec: Surface, d: float, params: ThermoPara
     dq = sqrt(P) dc dxi, and every surface reads f = cos(phi) c + N(B xi)
     with a translation-invariant norm term N (N = 0 and cos(phi) = 1 for
     the centroid).  The delta constraint then fixes the centroid exactly,
-    c* = (d - N) / cos(phi), and contributes 1 / |cos(phi)|.  Axis j spans
+    c* = (d - N) / cos(phi), and contributes 1 / |cos(phi)|.  One
+    ``surface_factors`` pass over the fluctuation paths B xi, whose mean is
+    0, gives N as their f, and the flux factors, which do not change when
+    the path is translated; only the density reads the shifted paths
+    B xi + c*.  Axis j spans
     +- ORACLE_HALF_WIDTH free-ring standard deviations of mode j with the
     midpoint rule on ORACLE_CELLS cells, an even number, so the node xi = 0,
     where the norm term vanishes, is never evaluated.  Refinement doubles
@@ -244,9 +257,11 @@ def grid_oracle_rate(pot: Potential, spec: Surface, d: float, params: ThermoPara
         grids = np.meshgrid(*([t] * (P - 1)), indexing="ij")
         xi = np.stack([g.ravel() for g in grids], axis=-1) * sigma
         q = xi @ basis.T
-        q += ((d - f_eval(spec, q)) / cos_phi)[:, None]
+        sf = surface_factors(spec, q, params)
+        F_rpmd, F_ha, _ = integrand_factors(sf, params)
+        q += ((d - sf.f) / cos_phi)[:, None]
+        del sf  # t_vec is not needed beside the density's temporaries
         rho = np.exp(log_rho_ring(q, params, pot))
-        F_rpmd, F_ha, _ = integrand_factors(spec, q, params)
         if np.any(np.isinf(F_ha)):
             raise OverflowError("harmonic-analysis weight overflows on grid")
         cell = np.prod(2.0 * ORACLE_HALF_WIDTH * sigma / cells)

@@ -16,10 +16,19 @@ from .closed_forms import tdiff_figure, tdiff_figure_amplitude
 from .fitting import fit_power_law
 from .params import ThermoParams
 from .paths import SinusoidalPathSpec, map_free_ring_paths, sinusoidal_path
-from .surfaces import FourierNormSurface, QuadDiffSurface, g_p, surface_factors
+from .surfaces import FourierNormSurface, QuadDiffSurface, surface_factors
 
 DEFAULT_P_SWEEP = tuple(2**k for k in range(4, 13))  # 16 .. 4096
 STOCHASTIC_P_SWEEP = tuple(2**k for k in range(4, 10))  # 16 .. 512
+
+# mixing angle of the matching-path Fourier-norm surfaces (gp and sumdiff series)
+MATCHING_PHI = np.pi / 2
+
+# quad-diff surface angle, T-difference index and largest accepted fit
+# residual of the thermal-path orders
+QUADDIFF_PHI = np.pi / 4
+QUADDIFF_K = 2
+QUADDIFF_RESIDUAL_THRESHOLD = 0.25
 
 
 @dataclass(frozen=True)
@@ -94,9 +103,9 @@ class ScalingSeries:
         )
 
 
-def _matching_pair(schedule: ModeSchedule, P: int, amplitude: float, alpha: float, phi: float):
+def _matching_pair(schedule: ModeSchedule, P: int, amplitude: float, alpha: float):
     n = schedule.mode(P)
-    spec = FourierNormSurface(mode=n, phi=phi, phi_floor=0.0)
+    spec = FourierNormSurface(mode=n, phi=MATCHING_PHI, phi_floor=0.0)
     q = sinusoidal_path(SinusoidalPathSpec(q0=0.0, amplitude=amplitude, mode=n, phase=alpha), P)
     return spec, q
 
@@ -135,26 +144,25 @@ def gp_series(
     P_list,
     params: ThermoParams,
     alpha: float = 0.0,
-    phi: float = np.pi / 2,
 ) -> ScalingSeries:
-    """|g_P| on matching sinusoidal paths, generic evaluation."""
+    """|g_P| on matching sinusoidal paths, generic evaluation (phi = MATCHING_PHI)."""
     values = []
     for P in P_list:
-        spec, q = _matching_pair(schedule, P, amplitude, alpha, phi)
-        values.append(abs(float(g_p(spec, q, params.with_beads(P)))))
+        spec, q = _matching_pair(schedule, P, amplitude, alpha)
+        values.append(abs(float(surface_factors(spec, q, params.with_beads(P)).g_p)))
     return ScalingSeries.from_points(f"gp[{schedule.label}]", P_list, values)
 
 
 def sumdiff_series(
     schedule: ModeSchedule,
     P_list=DEFAULT_P_SWEEP,
-    phi: float = np.pi / 2,
     alpha: float = 0.0,
 ) -> ScalingSeries:
-    """|sum-difference| on matching sinusoidal paths, generic evaluation."""
+    """|sum-difference| on matching sinusoidal paths, generic evaluation
+    (phi = MATCHING_PHI)."""
     values = []
     for P in P_list:
-        spec, q = _matching_pair(schedule, P, 1.0, alpha, phi)
+        spec, q = _matching_pair(schedule, P, 1.0, alpha)
         values.append(abs(float(surface_factors(spec, q).sum_difference)))
     return ScalingSeries.from_points(f"sumdiff[{schedule.label}]", P_list, values)
 
@@ -210,30 +218,26 @@ def quaddiff_orders(
     n_rule: str,
     P_list=STOCHASTIC_P_SWEEP,
     n_paths: int = 10_000,
-    params: ThermoParams | None = None,
-    phi: float = np.pi / 4,
     seed: int = 0,
-    k: int = 2,
-    residual_threshold: float = 0.25,
 ) -> StochasticOrdersReport:
-    """Average |B_P|, |T_{k-1}-T_k|, |g_P| of the quadratic-difference
-    surface over thermal free-particle paths at each P, then fit exponents.
+    """Average |B_P|, |T_{k-1}-T_k| (k = QUADDIFF_K), |g_P| of the
+    quadratic-difference surface at phi = QUADDIFF_PHI over thermal
+    free-particle paths (default ThermoParams) at each P, then fit exponents.
 
     n_rule is 'one' (offset 1) or 'half' (offset P/2).
     """
     if n_rule not in ("one", "half"):
         raise ValueError("n_rule must be 'one' or 'half'")
-    params = params or ThermoParams()
     rng = np.random.default_rng(seed)
     mean_b, mean_t, mean_g = [], [], []
     for P in P_list:
         n = 1 if n_rule == "one" else P // 2
-        spec = QuadDiffSurface(offset=n, phi=phi)
-        pp = params.with_beads(P)
+        spec = QuadDiffSurface(offset=n, phi=QUADDIFF_PHI)
+        pp = ThermoParams(bead_count=P)
 
         def per_path(q):
             sf = surface_factors(spec, q, pp)
-            return sf.b_p, np.abs(sf.t_diff(k)), np.abs(sf.g_p)
+            return sf.b_p, np.abs(sf.t_diff(QUADDIFF_K)), np.abs(sf.g_p)
 
         b, t, g = map_free_ring_paths(pp, n_paths, rng, per_path)
         mean_b.append(float(np.mean(b)))
@@ -247,6 +251,6 @@ def quaddiff_orders(
     max_resid = max(s.fit_residual for s in series.values())
     return StochasticOrdersReport(
         series=series,
-        residual_ok=max_resid <= residual_threshold,
+        residual_ok=max_resid <= QUADDIFF_RESIDUAL_THRESHOLD,
         max_residual=max_resid,
     )

@@ -14,9 +14,15 @@ Three surface families over a P-bead cyclic path q:
 
 All evaluators operate on the last axis, so a batch of paths with shape
 (n_paths, P) is handled in one call.  ``surface_factors`` is the one
-evaluator of the gradient-derived quantities: B_P, T, the flux sum, the
-sum-difference and g_P are attributes of the ``SurfaceFactors`` it returns,
-and the link form of ``g_p`` reads the same attribute.
+evaluator of the gradient-derived quantities: f, B_P, T, the flux sum, the
+sum-difference and link-form g_P are attributes of the ``SurfaceFactors``
+it returns.  Every surface is homogeneous of degree one in q, so f is read
+from the same gradient through Euler's identity f(q) = sum_k q_k df/dq_k.
+``g_p`` keeps the cyclic form of g_P as an independent cross-check.
+
+The Fourier-mode sums of L_n are taken over q - qbar for 0 < n mod P: the
+cosine and sine columns sum to zero, so the value is the same, but the
+rounding follows the fluctuations of the path rather than |q|.
 """
 from __future__ import annotations
 
@@ -102,15 +108,29 @@ def _rowdot(a, b):
 
 
 def _mode_basis(P: int, n: int) -> np.ndarray:
-    """(P, 2) columns cos(2 pi n j / P) and sin(2 pi n j / P)."""
-    ang = 2.0 * np.pi * n * np.arange(P) / P
+    """(P, 2) columns cos(2 pi n j / P) and sin(2 pi n j / P), with the
+    angle reduced as (n j) mod P before it is scaled."""
+    ang = 2.0 * np.pi * ((n * np.arange(P)) % P) / P
     return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+
+
+def _mode_sums(q: np.ndarray, n: int):
+    """(C, S) = q @ _mode_basis over the last axis, and the basis.
+
+    For 0 < n mod P the projection is of q - qbar: exact, since each basis
+    column sums to zero, and rounded at the scale of the fluctuations.
+    Modes 0 and P keep C = sum_j q_j, so that L_n = |sum_j q_j|.
+    """
+    P = q.shape[-1]
+    basis = _mode_basis(P, n)
+    if n % P:
+        q = q - np.mean(q, axis=-1, keepdims=True)
+    return q @ basis, basis
 
 
 def fourier_mode_norm(q, n: int):
     """L_n(q), computed from the real cosine/sine sums."""
-    q = np.asarray(q, dtype=float)
-    cs = q @ _mode_basis(q.shape[-1], n)
+    cs, _ = _mode_sums(np.asarray(q, dtype=float), n)
     return np.hypot(cs[..., 0], cs[..., 1])
 
 
@@ -124,19 +144,6 @@ def quad_diff_norm(q, n: int):
 def _singular(norm, q) -> np.ndarray:
     """True where the norm term is below the floor relative to max(1, |q|)."""
     return norm <= _NORM_FLOOR * np.maximum(1.0, np.sqrt(_rowdot(q, q)))
-
-
-def is_singular(spec: Surface, q) -> np.ndarray | bool:
-    """True where the gradient of f is undefined (norm term vanishes)."""
-    q = _check(spec, q)
-    if isinstance(spec, CentroidSurface):
-        return np.zeros(q.shape[:-1], dtype=bool) if q.ndim > 1 else False
-    if isinstance(spec, FourierNormSurface):
-        # for mode 0 or P, L_n = |sum q_j|: the gradient is defined unless it is zero
-        norm = fourier_mode_norm(q, spec.mode)
-    else:
-        norm = quad_diff_norm(q, spec.offset)
-    return _singular(norm, q)
 
 
 def f_eval(spec: Surface, q):
@@ -156,15 +163,15 @@ def f_eval(spec: Surface, q):
 def grad_f(spec: Surface, q):
     """Gradient of f with respect to each bead (last axis).
 
-    The norm term is computed once; the singular check reads the same norm.
+    The norm term is computed once; the singular check reads the same norm,
+    and raises SingularSurfaceError where it vanishes.
     """
     q = _check(spec, q)
     P = q.shape[-1]
     if isinstance(spec, CentroidSurface):
         return np.broadcast_to(1.0 / P, q.shape).copy()
     if isinstance(spec, FourierNormSurface):
-        basis = _mode_basis(P, spec.mode)
-        cs = q @ basis
+        cs, basis = _mode_sums(q, spec.mode)
         L = np.hypot(cs[..., 0], cs[..., 1])
         if np.any(_singular(L, q)):
             raise SingularSurfaceError("surface norm term vanishes on this path")
@@ -195,6 +202,7 @@ class SurfaceFactors:
     """Surface quantities of a path (scalars) or a batch of paths (arrays
     over the leading axes), all from one gradient evaluation per path.
 
+    f:              f(q) = sum_k q_k df/dq_k (Euler's identity)
     b_p:            B_P = sum_k (df/dq_k)^2
     t_vec:          T_k = (df/dq_k) / sqrt(B_P), same shape as the paths
     flux_sum:       sum_k (df/dq_k) (T_{k-1} + 2 T_k + T_{k+1}) / 4
@@ -202,6 +210,7 @@ class SurfaceFactors:
     g_p:            link-form g_P; None when no ThermoParams were given
     """
 
+    f: np.ndarray
     b_p: np.ndarray
     t_vec: np.ndarray
     flux_sum: np.ndarray
@@ -215,11 +224,13 @@ class SurfaceFactors:
 
 
 def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> SurfaceFactors:
-    """B_P, T, flux sum, sum-difference and link-form g_P of each path.
+    """f, B_P, T, flux sum, sum-difference and link-form g_P of each path.
 
     One ``grad_f`` call per path, in row blocks of about BLOCK_ELEMS
-    elements.  With S = sum_k (T_{k+1} - T_k)^2 = 2 (1 - A), where
-    A = sum_k T_k T_{k+1}, the rolled sums re-sum in closed form:
+    elements.  Every surface is homogeneous of degree one in q, so
+    f = sum_k q_k df/dq_k is one row dot product of that gradient.  With
+    S = sum_k (T_{k+1} - T_k)^2 = 2 (1 - A), where A = sum_k T_k T_{k+1},
+    the rolled sums re-sum in closed form:
 
         flux_sum       = sqrt(B_P) (1 + A) / 2 = sqrt(B_P) (1 - S / 4)
         sum_difference = sqrt(B_P) (A - 1) / 2 = -sqrt(B_P) S / 4
@@ -229,8 +240,8 @@ def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> Sur
     wrap-around term, with no rolled copy.
 
     The centroid surface has the gradient 1/P on every path, so one row is
-    evaluated and broadcast (t_vec is then a read-only view): S = 0, and
-    g_P = 0 exactly, since the link sum telescopes.
+    evaluated and broadcast (t_vec is then a read-only view): f is the
+    mean, S = 0, and g_P = 0 exactly, since the link sum telescopes.
     """
     q = _check(spec, q)
     P = q.shape[-1]
@@ -241,15 +252,17 @@ def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> Sur
         g = grad_f(spec, flat[:1])
         B = np.broadcast_to(_rowdot(g, g), (n,)).copy()
         T = np.broadcast_to(g / np.sqrt(B[:1, None]), (n, P))
+        f = np.mean(flat, axis=-1)
         S, link = np.zeros(n), np.zeros(n)
     else:
         T = np.empty((n, P))
-        B, S, link = np.empty(n), np.empty(n), np.empty(n)
+        f, B, S, link = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
         rows = max(1, BLOCK_ELEMS // P)
         for lo in range(0, n, rows):
             blk = slice(lo, lo + rows)
             qb, Tb = flat[blk], T[blk]
             g = grad_f(spec, qb)
+            f[blk] = _rowdot(qb, g)
             B[blk] = _rowdot(g, g)
             if np.any(B[blk] == 0.0):
                 raise SingularSurfaceError("gradient vanishes; T undefined")
@@ -264,6 +277,7 @@ def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> Sur
         return x.reshape(lead)[()]
 
     return SurfaceFactors(
+        f=shaped(f),
         b_p=shaped(B),
         t_vec=T.reshape(q.shape),
         flux_sum=shaped(root + sum_diff),
@@ -272,29 +286,25 @@ def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> Sur
     )
 
 
-def g_p(spec: Surface, q, params: ThermoParams, form: str = "link"):
-    """Path-dependent coupling g_P(q).
+def g_p(spec: Surface, q, params: ThermoParams):
+    """Path-dependent coupling g_P(q) in the cyclic form,
 
-    form='link':   (m P / 2 beta hbar) sum_k (q_{k+1} - q_k) T_k
-    form='cyclic': (m P / 2 beta hbar) sum_k (q_k - qbar) (T_{k-1} - T_k)
+        (m P / 2 beta hbar) sum_k (q_k - qbar) (T_{k-1} - T_k),
 
-    The two are identical by cyclic re-summation; both are provided as a
-    consistency cross-check.  The cyclic form normalizes the gradient and
-    rolls T itself, independently of ``surface_factors``.  Subtracting the
-    centroid qbar changes nothing exactly, since sum_k (T_{k-1} - T_k) = 0,
-    but keeps the rounding at the scale of the fluctuations rather than of
-    |q|.
+    the independent cross-check of the link form
+    (m P / 2 beta hbar) sum_k (q_{k+1} - q_k) T_k that ``surface_factors``
+    returns as ``SurfaceFactors.g_p``.  The two are identical by cyclic
+    re-summation.  This form normalizes the gradient and rolls T itself.
+    Subtracting the centroid qbar changes nothing exactly, since
+    sum_k (T_{k-1} - T_k) = 0, but keeps the rounding at the scale of the
+    fluctuations rather than of |q|.
     """
-    if form == "link":
-        return surface_factors(spec, q, params).g_p
-    if form == "cyclic":
-        q = _check(spec, q)
-        g = grad_f(spec, q)
-        T = g / np.sqrt(np.sum(g**2, axis=-1, keepdims=True))
-        coef = _g_p_coef(params, q.shape[-1])
-        dq = q - np.mean(q, axis=-1, keepdims=True)
-        return coef * np.sum(dq * (np.roll(T, 1, axis=-1) - T), axis=-1)
-    raise ValueError("form must be 'link' or 'cyclic'")
+    q = _check(spec, q)
+    g = grad_f(spec, q)
+    T = g / np.sqrt(np.sum(g**2, axis=-1, keepdims=True))
+    coef = _g_p_coef(params, q.shape[-1])
+    dq = q - np.mean(q, axis=-1, keepdims=True)
+    return coef * np.sum(dq * (np.roll(T, 1, axis=-1) - T), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -189,8 +189,8 @@ def test_criterion_4_identity_suite():
     ok = True
     q_big = rng.standard_normal((1000, P))
     for spec in surfaces:
-        link = g_p(spec, q_big, PARAMS, form="link")
-        cyc = g_p(spec, q_big, PARAMS, form="cyclic")
+        link = surface_factors(spec, q_big, PARAMS).g_p
+        cyc = g_p(spec, q_big, PARAMS)
         ok &= bool(np.all(np.abs(link - cyc) <= 1e-10 * np.maximum(np.abs(link), 1.0)))
         sf = surface_factors(spec, q_big)
         flux = np.sum(grad_f(spec, q_big) * sf.t_vec, axis=-1)
@@ -204,11 +204,11 @@ def test_criterion_4_identity_suite():
             fd = (f_eval(spec, q1 + e) - f_eval(spec, q1 - e)) / (2 * h)
             ok &= abs(g[k] - fd) <= 1e-6 * max(abs(fd), 1e-3)
         base_f = f_eval(spec, q1)
-        base_int = integrand_factors(spec, q1, PARAMS)
+        base_int = integrand_factors(surface_factors(spec, q1, PARAMS), PARAMS)
         for s in (1, 5, 11):
             qs = cyclic_shift(q1, s)
             ok &= abs(f_eval(spec, qs) - base_f) < 1e-12
-            shifted = integrand_factors(spec, qs, PARAMS)
+            shifted = integrand_factors(surface_factors(spec, qs, PARAMS), PARAMS)
             for a, b in zip(base_int, shifted):
                 ok &= abs(b - a) <= 1e-9 * max(abs(a), 1.0)
     fn = FourierNormSurface(mode=5, phi=1.1)
@@ -228,7 +228,7 @@ def test_criterion_5_centroid_degeneracy():
     rng = np.random.default_rng(2)
     q = rng.standard_normal((2000, 8))
     params = ThermoParams(bead_count=8)
-    F_rpmd, F_ha, _ = integrand_factors(CentroidSurface(), q, params)
+    F_rpmd, F_ha, _ = integrand_factors(surface_factors(CentroidSurface(), q, params), params)
     per_config = bool(np.max(np.abs(F_ha / F_rpmd - 1.0)) < 1e-12)
     rep = rate_estimates(Harmonic(omega=1.0), CentroidSurface(), 0.0, params, n_samples=20_000, seed=5)
     estimates = abs(rep.kza_ha / rep.kza_rpmd - 1.0) < 1e-12

@@ -140,6 +140,15 @@ def test_surface_norm_scale_rejected(tmp_path):
     assert not out.exists()
 
 
+def test_n_paths_rejected(tmp_path):
+    # surface-check draws a fixed 1000 paths; no command reads a path count
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("command: surface-check\nn_paths: 500\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_scaling_command(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(

@@ -15,7 +15,7 @@ from ringtst.rates import (
     ratio_sweep,
 )
 from ringtst.scaling import ModeSchedule
-from ringtst.surfaces import CentroidSurface, FourierNormSurface, QuadDiffSurface, f_eval
+from ringtst.surfaces import CentroidSurface, FourierNormSurface, QuadDiffSurface, f_eval, surface_factors
 
 TWO_PI_INV = 1.0 / (2.0 * np.pi)
 
@@ -52,7 +52,7 @@ def test_window_reduction_matches_per_width_polyfit():
     )
     f = f_eval(spec, q)
     widths = np.array([0.2, 0.1, 0.05]) * np.std(f)
-    F_rpmd, F_ha, _ = integrand_factors(spec, q, params)
+    F_rpmd, F_ha, _ = integrand_factors(surface_factors(spec, q, params), params)
     pref = np.sqrt(params.bead_count / (2.0 * np.pi * params.mass * params.beta))
     per = n // n_batches
 
@@ -160,7 +160,7 @@ def test_centroid_degeneracy_per_configuration():
     params = ThermoParams(bead_count=12)
     rng = np.random.default_rng(8)
     q = rng.standard_normal((500, 12))
-    F_rpmd, F_ha, lw = integrand_factors(CentroidSurface(), q, params)
+    F_rpmd, F_ha, lw = integrand_factors(surface_factors(CentroidSurface(), q, params), params)
     assert F_ha == pytest.approx(F_rpmd, rel=1e-12)
     assert np.all(lw < 1e-24)  # g_P is zero up to roundoff
 
@@ -177,9 +177,9 @@ def test_integrand_cyclic_invariance():
     rng = np.random.default_rng(9)
     q = rng.standard_normal(10)
     for spec in (CentroidSurface(), FourierNormSurface(mode=2, phi=np.pi / 4)):
-        base = integrand_factors(spec, q, params)
+        base = integrand_factors(surface_factors(spec, q, params), params)
         for s in range(1, 10):
-            shifted = integrand_factors(spec, cyclic_shift(q, s), params)
+            shifted = integrand_factors(surface_factors(spec, cyclic_shift(q, s), params), params)
             for a, b in zip(base, shifted):
                 assert b == pytest.approx(a, rel=1e-9)
 
@@ -225,5 +225,5 @@ def test_divergence_flag_in_rate_report():
     q = sinusoidal_path(SinusoidalPathSpec(0.0, 1.0, 32, np.pi / 4), 64)
     lw = float(ha_log_weight(g_p(spec, q, params), params))
     assert lw > OVERFLOW_GUARD
-    _, F_ha, _ = integrand_factors(spec, q[None, :], params)
+    _, F_ha, _ = integrand_factors(surface_factors(spec, q[None, :], params), params)
     assert np.isinf(F_ha[0])

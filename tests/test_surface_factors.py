@@ -1,20 +1,21 @@
-"""surface_factors against the separate rolled-sum definitions, its
-invariants, and the one-gradient-per-path guarantee of its callers."""
+"""surface_factors against the separate rolled-sum definitions and f_eval,
+its invariants, and the one-surface-pass-per-path guarantee of its callers."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringtst import surfaces
+from ringtst import rates, surfaces
 from ringtst.params import ThermoParams
-from ringtst.potentials import Eckart
-from ringtst.rates import integrand_factors, rate_estimates
+from ringtst.potentials import Eckart, Harmonic
+from ringtst.rates import ORACLE_CELLS, grid_oracle_rate, integrand_factors, rate_estimates
 from ringtst.scaling import quaddiff_orders
 from ringtst.surfaces import (
     CentroidSurface,
     FourierNormSurface,
     QuadDiffSurface,
     SingularSurfaceError,
+    f_eval,
     g_p,
     surface_factors,
 )
@@ -23,7 +24,8 @@ TOL = 1e-12
 
 
 def reference_factors(spec, q, params):
-    """The definitions written out with one rolled copy per neighbour sum."""
+    """The definitions written out with one rolled copy per neighbour sum,
+    and f from f_eval."""
     q = np.asarray(q, dtype=float)
     P = q.shape[-1]
     if isinstance(spec, CentroidSurface):
@@ -44,6 +46,7 @@ def reference_factors(spec, q, params):
     T_prev, T_next = np.roll(T, 1, axis=-1), np.roll(T, -1, axis=-1)
     coef = params.mass * P / (2.0 * params.beta * params.hbar)
     return {
+        "f": f_eval(spec, q),
         "b_p": B,
         "t_vec": T,
         "flux_sum": np.sum(g * 0.25 * (T_prev + 2.0 * T + T_next), axis=-1),
@@ -53,12 +56,14 @@ def reference_factors(spec, q, params):
 
 
 def scales(q, params, B):
-    """Bounds on each factor's magnitude: |flux|, |sum-difference| <= 2 sqrt(B_P);
-    |g_P| <= coef |q_{k+1} - q_k| by Cauchy-Schwarz, since |T| = 1."""
+    """Bounds on each factor's magnitude: |f| <= |q| sqrt(B_P) and
+    |g_P| <= coef |q_{k+1} - q_k| by Cauchy-Schwarz, since f = q . grad f
+    and |T| = 1; |flux|, |sum-difference| <= 2 sqrt(B_P)."""
     P = q.shape[-1]
     coef = params.mass * P / (2.0 * params.beta * params.hbar)
     dq = np.roll(q, -1, axis=-1) - q
     return {
+        "f": np.sqrt(np.sum(q**2, axis=-1) * B),
         "b_p": B,
         "t_vec": np.ones_like(q),
         "flux_sum": 2.0 * np.sqrt(B),
@@ -93,8 +98,15 @@ def assert_close(name, got, want, scale):
     assert np.all(err <= TOL * scale), f"{name}: worst {np.max(err / scale):.2e} of its scale"
 
 
+def _offset_paths(seed, shape, offset):
+    return 0.7 * np.random.default_rng(seed).standard_normal(shape) + offset
+
+
 @settings(max_examples=60, deadline=None)
 @given(surface_and_paths())
+# Fourier-norm modes 0 and P, where L_n = |sum_j q_j| is not centred
+@example((FourierNormSurface(mode=0, phi=0.6), _offset_paths(1, (7, 12), 1.5), ThermoParams(bead_count=12)))
+@example((FourierNormSurface(mode=12, phi=-0.9), _offset_paths(2, (7, 12), -0.4), ThermoParams(bead_count=12)))
 def test_surface_factors_match_rolled_definitions(case):
     spec, q, params = case
     sf = surface_factors(spec, q, params)
@@ -109,13 +121,19 @@ def test_surface_factors_match_rolled_definitions(case):
 
 @settings(max_examples=40, deadline=None)
 @given(surface_and_paths(), st.integers(1, 63))
+# thousands of rows offset by 2: a projection of q rather than q - qbar
+# rounds (C, S) at the scale of |q|, and T moved by 1.1e-12 of its scale
+@example(
+    (FourierNormSurface(mode=26, phi=1.0), _offset_paths(5, (3854, 34), 2.0), ThermoParams(bead_count=34, beta=1.0)),
+    3,
+)
 def test_surface_factors_cyclic_invariance(case, shift):
     spec, q, params = case
     s = shift % q.shape[-1]
     base = surface_factors(spec, q, params)
     moved = surface_factors(spec, np.roll(q, s, axis=-1), params)
     sc = scales(q, params, base.b_p)
-    for name in ("b_p", "flux_sum", "sum_difference", "g_p"):
+    for name in ("f", "b_p", "flux_sum", "sum_difference", "g_p"):
         assert_close(name, getattr(moved, name), getattr(base, name), sc[name])
     assert_close("t_vec", moved.t_vec, np.roll(base.t_vec, s, axis=-1), 1.0)
 
@@ -128,7 +146,7 @@ def test_surface_factors_cyclic_invariance(case, shift):
 def test_link_and_cyclic_g_p_agree(case):
     spec, q, params = case
     link = surface_factors(spec, q, params).g_p
-    cyc = g_p(spec, q, params, form="cyclic")
+    cyc = g_p(spec, q, params)
     B = surface_factors(spec, q).b_p
     assert_close("g_p", link, cyc, scales(q, params, B)["g_p"])
 
@@ -143,7 +161,7 @@ def test_centroid_closed_form_matches_generic(P):
     closed = surface_factors(CentroidSurface(), q, params)
     generic = surface_factors(FourierNormSurface(mode=1, phi=0.0), q, params)
     sc = scales(q, params, generic.b_p)
-    for name in ("b_p", "t_vec", "flux_sum", "sum_difference", "g_p"):
+    for name in ("f", "b_p", "t_vec", "flux_sum", "sum_difference", "g_p"):
         got, want = getattr(closed, name), getattr(generic, name)
         assert np.all(np.abs(got - want) <= 1e-15 * sc[name]), name
     assert np.all(closed.g_p == 0.0)
@@ -153,7 +171,7 @@ def test_single_path_gives_scalars():
     spec = QuadDiffSurface(offset=2, phi=0.6)
     q = np.random.default_rng(0).standard_normal(9)
     sf = surface_factors(spec, q, ThermoParams(bead_count=9))
-    for x in (sf.b_p, sf.flux_sum, sf.sum_difference, sf.g_p):
+    for x in (sf.f, sf.b_p, sf.flux_sum, sf.sum_difference, sf.g_p):
         assert np.ndim(x) == 0
     assert sf.t_vec.shape == (9,)
     assert surface_factors(spec, q).g_p is None
@@ -190,19 +208,51 @@ def grad_rows(monkeypatch):
 def test_integrand_factors_one_gradient_per_path(grad_rows, spec):
     P, n = 32, 3 * (surfaces.BLOCK_ELEMS // 32) + 5
     q = np.random.default_rng(2).standard_normal((n, P))
-    integrand_factors(spec, q, ThermoParams(bead_count=P))
+    params = ThermoParams(bead_count=P)
+    integrand_factors(surface_factors(spec, q, params), params)
     # the centroid gradient is 1/P on every path: one row, broadcast
     assert sum(grad_rows) == (1 if isinstance(spec, CentroidSurface) else n)
 
 
-def test_rate_estimates_one_gradient_per_path(grad_rows):
+@pytest.fixture
+def f_calls(monkeypatch):
+    """Counts f_eval calls, through the surfaces module and the name rates imports."""
+    calls = []
+    inner = surfaces.f_eval
+
+    def counted(spec, q):
+        calls.append(int(np.prod(np.shape(q)[:-1])))
+        return inner(spec, q)
+
+    monkeypatch.setattr(surfaces, "f_eval", counted)
+    monkeypatch.setattr(rates, "f_eval", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CentroidSurface(), FourierNormSurface(mode=1, phi=0.5), QuadDiffSurface(offset=1, phi=0.7)],
+    ids=["centroid", "fourier", "quaddiff"],
+)
+def test_grid_oracle_one_surface_pass_per_node(grad_rows, f_calls, spec):
+    grid_oracle_rate(Harmonic(omega=1.0), spec, 0.0, ThermoParams(bead_count=3))
+    # coarse and refined grid over the P - 1 = 2 fluctuation modes
+    nodes = ORACLE_CELLS**2 + (2 * ORACLE_CELLS) ** 2
+    assert sum(grad_rows) == (2 if isinstance(spec, CentroidSurface) else nodes)
+    assert f_calls == []
+
+
+def test_rate_estimates_one_gradient_per_path(grad_rows, f_calls):
+    # f comes from the same surface_factors pass: no f_eval call
     spec = FourierNormSurface(mode=2, phi=0.5)
     rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=16), n_samples=2000, seed=1)
     assert sum(grad_rows) == 2000
+    assert f_calls == []
     # n P above paths.INLINE_ELEMS: blocks evaluated on the worker pool
     grad_rows.clear()
     rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=256), n_samples=5000, seed=1)
     assert sum(grad_rows) == 5000
+    assert f_calls == []
 
 
 def test_quaddiff_orders_one_gradient_per_path(grad_rows):
