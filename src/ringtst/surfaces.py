@@ -107,22 +107,18 @@ def _rowdot(a, b):
     return np.einsum("...k,...k->...", a, b)
 
 
-def _mode_basis(P: int, n: int) -> np.ndarray:
-    """(P, 2) columns cos(2 pi n j / P) and sin(2 pi n j / P), with the
-    angle reduced as (n j) mod P before it is scaled."""
-    ang = 2.0 * np.pi * ((n * np.arange(P)) % P) / P
-    return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-
-
 def _mode_sums(q: np.ndarray, n: int):
-    """(C, S) = q @ _mode_basis over the last axis, and the basis.
+    """(C, S) = q @ basis over the last axis, and the (P, 2) basis with
+    columns cos(2 pi n j / P) and sin(2 pi n j / P); the angle is reduced
+    as (n j) mod P before it is scaled.
 
     For 0 < n mod P the projection is of q - qbar: exact, since each basis
     column sums to zero, and rounded at the scale of the fluctuations.
     Modes 0 and P keep C = sum_j q_j, so that L_n = |sum_j q_j|.
     """
     P = q.shape[-1]
-    basis = _mode_basis(P, n)
+    ang = 2.0 * np.pi * ((n * np.arange(P)) % P) / P
+    basis = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     if n % P:
         q = q - np.mean(q, axis=-1, keepdims=True)
     return q @ basis, basis
