@@ -7,6 +7,17 @@ quantities on matching sinusoidal paths), ``figure1`` (the log-log dataset
 and fitted slopes), ``rate`` and ``ratio-sweep`` (the Monte-Carlo rate
 estimators).
 
+A config is YAML (parsed with libyaml when PyYAML has it) and is checked
+by walking ``CONFIG_SCHEMA``, the one declarative description of the keys.
+The walker knows the keywords that schema uses (``type``, ``enum``,
+``required``, ``additionalProperties: false``, ``properties``, ``minimum``,
+``exclusiveMinimum``, ``items``, ``minItems``) and raises on any other.  A
+failure exits 2 with ``error: invalid config at <path>: <message>``: the
+shallowest failing path, in jsonschema's wording (``('bogus' was
+unexpected)``, ``1 is less than the minimum of 2``).  Unlike jsonschema, an
+integral float is not an integer: ``bead_count: 8.0`` is rejected before
+any output directory is made.
+
 Exit codes: 0 success; 2 configuration/validation error, or a numerical
 failure (window extrapolation non-monotone, grid oracle not converged under
 refinement, harmonic-analysis weight overflow on the oracle grid), reported
@@ -29,11 +40,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
+import numbers
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import yaml
 
@@ -134,7 +144,8 @@ def load_config(path: str | None) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(p.read_text())
+        # libyaml's parser feeds the same safe constructor, so the values match
+        data = yaml.load(p.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as e:
         raise ConfigError(f"config is not valid YAML: {e}")
     if data is None:
@@ -144,21 +155,67 @@ def load_config(path: str | None) -> dict:
     return data
 
 
-@functools.cache
-def _validator():
-    """The CONFIG_SCHEMA validator, checked against its meta-schema on the
-    first call only."""
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number": numbers.Number, "integer": int}
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's types, except that an integral float is not an integer
+    (numpy needs a real int for a count)."""
+    return isinstance(value, _JSON_TYPES[name]) and not (isinstance(value, bool) and name in ("number", "integer"))
+
+
+def _schema_errors(schema: dict, value, path: tuple = ()):
+    """Yield (path, message) for each way ``value`` breaks ``schema``, in
+    schema keyword order, with jsonschema's message for each keyword.  Only
+    the keywords CONFIG_SCHEMA uses are known; any other one raises."""
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if not _is_type(value, arg):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif keyword == "enum":
+            if value not in arg:
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword == "minimum":
+            if _is_type(value, "number") and value < arg:
+                yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "exclusiveMinimum":
+            if _is_type(value, "number") and value <= arg:
+                yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif keyword == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, f"{value!r} is too short"
+        elif keyword == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from _schema_errors(arg, item, path + (i,))
+        elif keyword == "required":
+            if isinstance(value, dict):
+                for name in arg:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+        elif keyword == "additionalProperties" and arg is False:
+            if isinstance(value, dict):
+                extra = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
+                if extra:
+                    verb = "was" if len(extra) == 1 else "were"
+                    names = ", ".join(repr(k) for k in extra)
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _schema_errors(sub, value[name], path + (name,))
+        else:
+            raise NotImplementedError(f"schema keyword {keyword}: {arg!r} is not handled")
 
 
 def validate_config(cfg: dict) -> dict:
-    # best_match picks the error jsonschema.validate would raise
-    e = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
-    if e is not None:
-        key = "/".join(str(p) for p in e.absolute_path) or "(root)"
-        raise ConfigError(f"invalid config at {key}: {e.message}")
+    # the error jsonschema's best_match reports: the shallowest path, then the
+    # greatest path among siblings, then the first keyword in schema order
+    best = max(_schema_errors(CONFIG_SCHEMA, cfg), key=lambda e: (-len(e[0]), e[0]), default=None)
+    if best is not None:
+        key = "/".join(str(p) for p in best[0]) or "(root)"
+        raise ConfigError(f"invalid config at {key}: {best[1]}")
     merged = dict(DEFAULTS)
     merged.update(cfg)
     return merged

@@ -1,13 +1,20 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringtst
 from ringtst import cli, rates
-from ringtst.cli import CONFIG_SCHEMA, ConfigError, main, validate_config
+from ringtst.cli import CONFIG_SCHEMA, ConfigError, load_config, main, validate_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(tmp_path, *argv):
@@ -20,7 +27,7 @@ def test_exports_resolve():
 
 
 def test_readme_lists_every_command():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     sentence = re.search(r"^Commands:(.*?)\.\s", readme, re.MULTILINE | re.DOTALL).group(1)
     assert tuple(re.findall(r"`([^`]+)`", sentence)) == cli.COMMANDS
 
@@ -295,20 +302,171 @@ def test_validate_config_message_matches_jsonschema_validate():
     assert str(got.value) == f"invalid config at {key}: {expected.value.message}"
 
 
-def test_meta_schema_checked_once(tmp_path, monkeypatch):
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    check = cls.check_schema
-    calls = []
+# jsonschema with the one deliberate difference of the walker: an integral
+# float is not an integer
+STRICT_INTEGER = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool)
+    ),
+)
 
-    def counted(schema, *args, **kwargs):
-        calls.append(schema)
-        return check(schema, *args, **kwargs)
 
-    monkeypatch.setattr(cls, "check_schema", staticmethod(counted))
-    cli._validator.cache_clear()
-    for i in range(3):
-        assert run(tmp_path / str(i), "--command", "figure1") == 0
-    assert calls == [CONFIG_SCHEMA]
+def jsonschema_message(cfg, validator_cls=jsonschema.Draft202012Validator):
+    """The message validate_config gives when jsonschema reports, or None."""
+    e = jsonschema.exceptions.best_match(validator_cls(CONFIG_SCHEMA).iter_errors(cfg))
+    if e is None:
+        return None
+    key = "/".join(str(p) for p in e.absolute_path) or "(root)"
+    return f"invalid config at {key}: {e.message}"
+
+
+def walker_message(cfg):
+    try:
+        validate_config(cfg)
+    except ConfigError as e:
+        return str(e)
+    return None
+
+
+WRONG_KIND = st.sampled_from([None, True, False, "x", "", -1, 0, 1.5, 2.0, [], [3], {}, {"bogus": 1}])
+
+
+def near_schema(schema):
+    """Values that meet ``schema`` or break it in one place: bounds, wrong
+    kinds (bools where numbers go), bad enum members, unknown keys."""
+    if "enum" in schema:
+        right = st.sampled_from([*schema["enum"], "bogus"])
+    elif schema["type"] == "object":
+        props = schema["properties"]
+        required = schema.get("required", [])
+        unknown = st.dictionaries(st.sampled_from(["bogus", "mass", "d", "zz", 1]), st.integers(0, 2), min_size=1, max_size=2)
+        right = st.builds(
+            lambda known, extra: {**known, **extra},
+            st.fixed_dictionaries(
+                {k: near_schema(props[k]) for k in required},
+                optional={k: near_schema(v) for k, v in props.items() if k not in required},
+            ),
+            mostly(st.just({}), unknown),
+        )
+        if required:
+            right = st.one_of(right, right.map(lambda d: {k: v for k, v in d.items() if k not in required}))
+    elif schema["type"] == "array":
+        right = st.lists(near_schema(schema["items"]), max_size=4)
+    elif schema["type"] == "integer":
+        lo = schema.get("minimum", 0)
+        right = st.integers(lo - 2, lo + 3)
+    elif schema["type"] == "number":
+        bound = schema.get("exclusiveMinimum", 0)
+        right = st.one_of(st.sampled_from([bound, bound - 1, bound + 1, 0.0, -0.0, 1e-300]), st.floats())
+    elif schema["type"] == "string":
+        right = st.text(max_size=3)
+    else:
+        right = st.booleans()
+    return mostly(right, WRONG_KIND)
+
+
+def mostly(usual, other):
+    """``usual`` five times in six, so configs reach the deeper errors."""
+    return st.one_of(*[usual] * 5, other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_schema(CONFIG_SCHEMA).filter(lambda cfg: isinstance(cfg, dict)))
+def test_walker_agrees_with_jsonschema(cfg):
+    got = walker_message(cfg)
+    assert got == jsonschema_message(cfg, STRICT_INTEGER)
+    # integral floats for integer keys are the only configs jsonschema passes and the walker rejects
+    if jsonschema_message(cfg) is not None:
+        assert got is not None
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"seed": "x"}, "seed: 'x' is not of type 'integer'"),
+        ({"command": "bogus"}, "command: 'bogus' is not one of ['surface-check', 'scaling', 'figure1', 'rate', 'ratio-sweep']"),
+        ({"potential": {"omega": 1.0}}, "potential: 'kind' is a required property"),
+        ({"thermo": {"mass": 1, "zz": 1, "bogus": 2}}, "thermo: Additional properties are not allowed ('bogus', 'zz' were unexpected)"),
+        ({"schedule": {"rule": "constant", "value": True}}, "schedule/value: True is not of type 'number'"),
+        ({"thermo": {"bead_count": 1}}, "thermo/bead_count: 1 is less than the minimum of 2"),
+        ({"thermo": {"beta": 0}}, "thermo/beta: 0 is less than or equal to the minimum of 0"),
+        ({"p_list": [16, 1]}, "p_list/1: 1 is less than the minimum of 2"),
+        ({"p_list": [16]}, "p_list: [16] is too short"),
+    ],
+    ids=["type", "enum", "required", "additionalProperties", "properties", "minimum", "exclusiveMinimum", "items", "minItems"],
+)
+def test_single_error_message_matches_jsonschema(cfg, message):
+    assert walker_message(cfg) == jsonschema_message(cfg) == f"invalid config at {message}"
+
+
+def schema_nodes(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from schema_nodes(sub)
+    if "items" in schema:
+        yield from schema_nodes(schema["items"])
+
+
+def test_walker_handles_every_schema_keyword():
+    for node in schema_nodes(CONFIG_SCHEMA):
+        list(cli._schema_errors(node, None))  # every keyword of the node is dispatched
+    with pytest.raises(NotImplementedError, match="maxItems"):
+        list(cli._schema_errors({"maxItems": 3}, []))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("command: rate\nthermo: {bead_count: 8.0}\n", "thermo/bead_count: 8.0 is not of type 'integer'"),
+        ("command: rate\nn_samples: 1000.0\n", "n_samples: 1000.0 is not of type 'integer'"),
+        ("command: ratio-sweep\np_list: [16.0, 32]\n", "p_list/0: 16.0 is not of type 'integer'"),
+    ],
+    ids=["bead_count", "n_samples", "p_list"],
+)
+def test_integral_float_for_integer_key_rejected(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: invalid config at {message}\n"
+    assert not out.exists()
+
+
+RATE_CONFIGS = [
+    {"command": "rate", "thermo": {"beta": 1.0, "bead_count": 3}, "potential": {"kind": "harmonic", "omega": 1.0},
+     "surface": {"kind": "centroid"}, "n_samples": 200_000, "grid_oracle": True},
+    {"command": "rate", "thermo": {"beta": 1.0, "bead_count": 8}, "potential": {"kind": "eckart", "v0": 1.0, "a": 1.0},
+     "surface": {"kind": "quad_diff", "offset": 1}, "n_samples": 20_000},
+    {"command": "rate", "thermo": {"beta": 1.0, "bead_count": 8}, "potential": {"kind": "double_well", "v0": 1.0, "q0": 1.0},
+     "surface": {"kind": "fourier_norm", "mode": 1}, "n_samples": 20_000},
+    {"command": "rate", "thermo": {"beta": 1.0, "bead_count": 8}, "potential": {"kind": "free"},
+     "surface": {"kind": "centroid"}, "d": 0.3, "n_samples": 20_000},
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        re.search(r"```yaml\n(.*?)```", README.read_text(), re.DOTALL).group(1),
+        *(yaml.safe_dump(c) for c in RATE_CONFIGS),
+        "a: 1e-3\nb: .inf\nc: 0x10\nd: yes\ne: ~\nf: 2001-12-14\ng: 1_000\nh: '8'\ni: [1.0, -.5]\n",
+    ],
+    ids=["readme", "harmonic_P3", "eckart_P8", "doublewell_P8", "free_P8", "scalars"],
+)
+def test_load_config_matches_safe_load(tmp_path, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    data = load_config(str(cfg))
+    assert data == yaml.safe_load(text)
+    assert repr(data) == repr(yaml.safe_load(text))  # same types, not only equal values
+
+
+def test_cli_import_skips_jsonschema():
+    src = README.parent / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import ringtst.cli, sys; print('jsonschema' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 def assert_one_error_line(capsys, *fragments):
