@@ -15,8 +15,10 @@ The walker knows the keywords that schema uses (``type``, ``enum``,
 failure exits 2 with ``error: invalid config at <path>: <message>``: the
 shallowest failing path, in jsonschema's wording (``('bogus' was
 unexpected)``, ``1 is less than the minimum of 2``).  Unlike jsonschema, an
-integral float is not an integer: ``bead_count: 8.0`` is rejected before
-any output directory is made.
+integral float is not an integer (``bead_count: 8.0``) and NaN and +-inf
+are not numbers (``beta: .nan``, ``d: .inf``): both are rejected before
+any output directory is made.  A YAML syntax error is one line too, with the
+problem's line and column.
 
 Exit codes: 0 success; 2 configuration/validation error, or a numerical
 failure (window extrapolation non-monotone, grid oracle not converged under
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import numbers
 import sys
 from pathlib import Path
@@ -147,7 +150,7 @@ def load_config(path: str | None) -> dict:
         # libyaml's parser feeds the same safe constructor, so the values match
         data = yaml.load(p.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as e:
-        raise ConfigError(f"config is not valid YAML: {e}")
+        raise ConfigError(_yaml_problem(e))
     if data is None:
         raise ConfigError("config file is empty")
     if not isinstance(data, dict):
@@ -155,12 +158,25 @@ def load_config(path: str | None) -> dict:
     return data
 
 
+def _yaml_problem(e: yaml.YAMLError) -> str:
+    """One line for a YAML error: the problem, where it is, and what the
+    parser was in the middle of (PyYAML's own text spans several lines)."""
+    mark = getattr(e, "problem_mark", None)
+    where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark is not None else ""
+    problem = getattr(e, "problem", None) or " ".join(str(e).split())
+    context = getattr(e, "context", None)
+    return f"config is not valid YAML{where}: {problem}" + (f" ({context})" if context else "")
+
+
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number": numbers.Number, "integer": int}
 
 
 def _is_type(value, name: str) -> bool:
     """JSON Schema's types, except that an integral float is not an integer
-    (numpy needs a real int for a count)."""
+    (numpy needs a real int for a count) and NaN and +-inf are not numbers
+    (JSON has no such number, and a NaN passes every bound)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return isinstance(value, _JSON_TYPES[name]) and not (isinstance(value, bool) and name in ("number", "integer"))
 
 

@@ -3,14 +3,18 @@
 A path is a plain 1-D numpy array of length P; index k is bead k with
 cyclic wrap-around (index P is bead 0 again).
 
-Free ring-polymer ensembles are built in one of two ways, chosen by size
-alone.  Up to INLINE_ELEMS path elements (8 MB), ``free_ring_paths`` draws
-the whole (n, P) array with one dense matmul.  Larger ensembles go through
-``map_free_ring_paths``: the calling thread draws the normals block by
-block, in stream order, and a thread pool turns each block into paths with
-``np.fft.irfft`` and reduces it to per-path values, so the whole ensemble
-is never held at once.  Block boundaries are fixed by BLOCK_ELEMS, so the
-results do not depend on the number of cores.
+The exact free ring-polymer sampler draws the P - 1 fluctuation amplitudes
+of ``fourier_mode_basis`` as scaled normals (``free_ring_amplitudes``); a
+``ModeBlock`` holds them with the centroids, and builds the real-space
+paths only when a caller asks for them.  Up to INLINE_ELEMS path elements
+(8 MB), ``map_free_ring_paths`` hands the whole ensemble over in one block,
+whose paths are one dense matmul.  Larger ensembles come in blocks: the
+calling thread draws the normals block by block, in stream order, and a
+thread pool reduces each block to per-path values, building its paths, if
+asked, with ``np.fft.irfft``, so the whole ensemble is never held at once.
+Block boundaries are fixed by BLOCK_ELEMS, so the results do not depend on
+the number of cores.  ``mode_amplitudes`` is the inverse map, from
+real-space paths back to their amplitudes and centroids.
 """
 from __future__ import annotations
 
@@ -62,6 +66,19 @@ def sinusoidal_path(spec: SinusoidalPathSpec, bead_count: int) -> np.ndarray:
     )
 
 
+def _basis_rows(P: int, beads: np.ndarray) -> np.ndarray:
+    """Rows ``beads`` of fourier_mode_basis(P)."""
+    k = np.asarray(beads)[:, None]
+    l = np.arange(1, (P - 1) // 2 + 1)
+    rows = np.empty((k.shape[0], P - 1))
+    ang = 2.0 * np.pi * l * k / P
+    rows[:, 0 : 2 * l.size : 2] = np.sqrt(2.0 / P) * np.cos(ang)
+    rows[:, 1 : 2 * l.size : 2] = np.sqrt(2.0 / P) * np.sin(ang)
+    if P % 2 == 0:
+        rows[:, -1] = np.cos(np.pi * k[:, 0]) / np.sqrt(P)
+    return rows
+
+
 def fourier_mode_basis(bead_count: int) -> np.ndarray:
     """Real orthonormal basis of the non-centroid cyclic Fourier modes.
 
@@ -70,29 +87,16 @@ def fourier_mode_basis(bead_count: int) -> np.ndarray:
     P; column j has the second-difference eigenvalue 4 sin^2(pi l / P)
     given by ``fourier_basis_eigenvalues(P)[j]``.
     """
-    P = bead_count
-    k = np.arange(P)
-    cols = []
-    for l in range(1, P // 2 + 1):
-        if 2 * l == P:
-            cols.append(np.cos(np.pi * k) / np.sqrt(P))
-        else:
-            cols.append(np.sqrt(2.0 / P) * np.cos(2.0 * np.pi * l * k / P))
-            cols.append(np.sqrt(2.0 / P) * np.sin(2.0 * np.pi * l * k / P))
-    return np.stack(cols, axis=1)
+    return _basis_rows(bead_count, np.arange(bead_count))
 
 
-def fourier_basis_eigenvalues(bead_count: int) -> np.ndarray:
-    """Eigenvalues matching the columns of fourier_mode_basis."""
+def fourier_basis_eigenvalues(bead_count: int, offset: int = 1) -> np.ndarray:
+    """Eigenvalues 4 sin^2(pi n l / P) of the offset-n ring Laplacian,
+    q_k -> 2 q_k - q_{k+n} - q_{k-n}, on the columns of fourier_mode_basis
+    (column j has mode l = j // 2 + 1); n = 1 is the spring term."""
     P = bead_count
-    vals = []
-    for l in range(1, P // 2 + 1):
-        lam = 4.0 * np.sin(np.pi * l / P) ** 2
-        if 2 * l == P:
-            vals.append(lam)
-        else:
-            vals.extend((lam, lam))
-    return np.asarray(vals)
+    l = np.arange(P - 1) // 2 + 1
+    return 4.0 * np.sin(np.pi * (offset * l % P) / P) ** 2
 
 
 def free_ring_mode_std(params: ThermoParams) -> np.ndarray:
@@ -102,60 +106,92 @@ def free_ring_mode_std(params: ThermoParams) -> np.ndarray:
     return np.sqrt(params.beta * params.hbar**2 / (params.mass * P * fourier_basis_eigenvalues(P)))
 
 
+def free_ring_amplitudes(params: ThermoParams, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Exact samples of the free-particle ring-polymer fluctuations, as
+    (n_samples, P - 1) amplitudes on the columns of fourier_mode_basis.
+
+    The spring weight exp(-(mP / 2 beta hbar^2) sum (q_k - q_{k+1})^2) is
+    Gaussian in the Fourier modes; each non-centroid mode amplitude has
+    variance beta hbar^2 / (m P lambda_l), so a row is one row of standard
+    normals times free_ring_mode_std.
+    """
+    return rng.standard_normal((n_samples, params.bead_count - 1)) * free_ring_mode_std(params)
+
+
+def _spectrum_scale(P: int) -> np.ndarray:
+    """Per-amplitude factors of the interleaved (real, imaginary) rfft
+    spectrum of a centred path: a (cos, sin) pair of amplitudes (a_l, b_l)
+    is X_l = sqrt(P/2) (a_l - i b_l), and the Nyquist amplitude a_N (even P)
+    is X_{P/2} = sqrt(P) a_N."""
+    w = np.full(P - 1, np.sqrt(P / 2.0))
+    w[1::2] = -w[1::2]
+    if P % 2 == 0:
+        w[-1] = np.sqrt(P)
+    return w
+
+
+def _irfft_paths(amps: np.ndarray, centroid) -> np.ndarray:
+    """Paths from a (rows, P - 1) block of amplitudes, with no BLAS call:
+    the scaled amplitudes fill the spectrum in place of a matmul, and irfft
+    gives q_k = sqrt(2/P) (a_l cos + b_l sin)(2 pi l k / P) + a_N (-1)^k /
+    sqrt(P).  The centroid is a scalar or a (rows, 1) column."""
+    rows, P = amps.shape[0], amps.shape[1] + 1
+    spec = np.zeros((rows, P // 2 + 1), dtype=complex)
+    # columns 2 .. P of the (re, im) view are X_1 .. X_{P/2}, imaginary
+    # part of the Nyquist term excluded (odd P has no Nyquist term)
+    np.multiply(amps, _spectrum_scale(P), out=spec.view(float)[:, 2 : P + 1])
+    q = np.fft.irfft(spec, n=P, axis=-1)
+    q += centroid
+    return q
+
+
+def mode_amplitudes(q) -> tuple[np.ndarray, np.ndarray]:
+    """The fourier_mode_basis amplitudes (..., P - 1) and the centroids
+    (...) of paths q (..., P): one rfft of q - qbar, the inverse of the
+    irfft construction.  Centring first keeps the rounding of the
+    amplitudes at the scale of the fluctuations rather than of |q|."""
+    q = np.asarray(q, dtype=float)
+    P = q.shape[-1]
+    c = np.mean(q, axis=-1, keepdims=True)
+    spec = np.fft.rfft(q - c, axis=-1)
+    return spec.view(float)[..., 2 : P + 1] / _spectrum_scale(P), c[..., 0]
+
+
+@dataclass(frozen=True)
+class ModeBlock:
+    """A block of paths q = centroid + amps @ fourier_mode_basis(P).T in
+    Fourier-mode coordinates: amps is (rows, P - 1), centroid a scalar or
+    one value per row.  ``pooled`` blocks come from the worker pool."""
+
+    amps: np.ndarray
+    centroid: float | np.ndarray
+    pooled: bool = False
+
+    def paths(self) -> np.ndarray:
+        """The (rows, P) real-space paths, built as the draw would build
+        them: one dense matmul for an ensemble handed over whole (at small
+        P it is cheaper than irfft), irfft with no BLAS call for a pooled
+        block."""
+        c = np.asarray(self.centroid, dtype=float)
+        c = float(c) if c.ndim == 0 else c.reshape(-1, 1)
+        if self.pooled:
+            return _irfft_paths(self.amps, c)
+        q = self.amps @ fourier_mode_basis(self.amps.shape[1] + 1).T
+        q += c
+        return q
+
+
 def free_ring_paths(
     params: ThermoParams,
     n_samples: int,
     rng: np.random.Generator,
     centroid: float | np.ndarray = 0.0,
 ) -> np.ndarray:
-    """Draw exact samples of the free-particle ring-polymer fluctuations.
-
-    The spring weight exp(-(mP / 2 beta hbar^2) sum (q_k - q_{k+1})^2) is
-    Gaussian in the Fourier modes; each non-centroid mode amplitude has
-    variance beta hbar^2 / (m P lambda_l). The centroid is set explicitly
-    (scalar or per-sample array) since the free weight does not constrain it.
-
-    Returns an (n_samples, P) array.
+    """Exact free-particle ring-polymer paths, (n_samples, P): the
+    fluctuations of ``free_ring_amplitudes`` around the given centroid
+    (scalar or per-sample array), which the free weight does not constrain.
     """
-    P = params.bead_count
-    basis = fourier_mode_basis(P)
-    amps = rng.standard_normal((n_samples, P - 1)) * free_ring_mode_std(params)
-    q = amps @ basis.T
-    del amps  # with the centroid added in place, only q is left alive
-    centroid = np.asarray(centroid, dtype=float)
-    q += float(centroid) if centroid.ndim == 0 else centroid.reshape(-1, 1)
-    return q
-
-
-def _irfft_weights(params: ThermoParams) -> np.ndarray:
-    """Per-normal factors that turn a row of fourier_mode_basis normals into
-    the interleaved (real, imaginary) parts of the irfft spectrum.
-
-    A (cos, sin) pair of amplitudes (a_l, b_l) becomes
-    X_l = sqrt(P/2) (a_l - i b_l), and the Nyquist amplitude a_N (even P)
-    becomes X_{P/2} = sqrt(P) a_N; irfft then gives
-    q_k = sqrt(2/P) (a_l cos + b_l sin)(2 pi l k / P) + a_N (-1)^k / sqrt(P).
-    """
-    P = params.bead_count
-    w = np.full(P - 1, np.sqrt(P / 2.0))
-    w[1::2] = -w[1::2]
-    if P % 2 == 0:
-        w[-1] = np.sqrt(P)
-    return w * free_ring_mode_std(params)
-
-
-def _irfft_paths(z: np.ndarray, weights: np.ndarray, centroid) -> np.ndarray:
-    """Paths from a (rows, P - 1) block of standard normals, with no BLAS
-    call: the scaled normals fill the spectrum in place of a matmul.  The
-    centroid is a scalar or a (rows, 1) column."""
-    rows, P = z.shape[0], z.shape[1] + 1
-    spec = np.zeros((rows, P // 2 + 1), dtype=complex)
-    # columns 2 .. P of the (re, im) view are X_1 .. X_{P/2}, imaginary
-    # part of the Nyquist term excluded (odd P has no Nyquist term)
-    np.multiply(z, weights, out=spec.view(float)[:, 2 : P + 1])
-    q = np.fft.irfft(spec, n=P, axis=-1)
-    q += centroid
-    return q
+    return ModeBlock(free_ring_amplitudes(params, n_samples, rng), centroid).paths()
 
 
 def _usable_cores() -> int:
@@ -184,28 +220,29 @@ def map_free_ring_paths(
     """per_path applied to free ring-polymer paths, the same draw as
     ``free_ring_paths(params, n_samples, rng, centroid)``.
 
-    per_path maps an (rows, P) block of paths to a tuple of 1-D arrays of
+    per_path maps a ModeBlock of rows paths to a tuple of 1-D arrays of
     length rows; the result is each of those arrays over all n_samples
-    paths, in draw order.  Up to INLINE_ELEMS elements this is
-    ``per_path(free_ring_paths(...))`` in the calling thread.  Above, the
-    paths come in blocks of BLOCK_ELEMS elements: the calling thread draws
-    each block's normals in stream order (the same numbers as one draw),
-    and a pool worker maps them to paths with irfft (equal to the dense
-    draw to rounding) and applies per_path.  At most two blocks per core
-    are in flight.  An exception raised by per_path reaches the caller.
+    paths, in draw order.  Up to INLINE_ELEMS elements the whole ensemble
+    is one block, ``free_ring_amplitudes`` in the calling thread.  Above,
+    the paths come in blocks of BLOCK_ELEMS elements: the calling thread
+    draws each block's normals in stream order (the same numbers as one
+    draw), and a pool worker scales them to amplitudes and applies
+    per_path.  At most two blocks per core are in flight.  An exception
+    raised by per_path reaches the caller.
     """
     P = params.bead_count
+    centroid = np.asarray(centroid, dtype=float)
     if n_samples * P <= INLINE_ELEMS:
-        return tuple(per_path(free_ring_paths(params, n_samples, rng, centroid)))
+        return tuple(per_path(ModeBlock(free_ring_amplitudes(params, n_samples, rng), centroid)))
     from concurrent.futures import wait
 
-    weights = _irfft_weights(params)
-    centroid = np.asarray(centroid, dtype=float)
+    std = free_ring_mode_std(params)
     rows = max(1, BLOCK_ELEMS // P)
     pool, limit = _pool(), 2 * _usable_cores()
 
     def block(z, c):
-        return tuple(per_path(_irfft_paths(z, weights, c)))
+        z *= std
+        return tuple(per_path(ModeBlock(z, c, pooled=True)))
 
     pending, parts = deque(), []
     try:
@@ -214,7 +251,7 @@ def map_free_ring_paths(
             if len(pending) == limit:
                 parts.append(pending.popleft().result())
             z = rng.standard_normal((hi - lo, P - 1))
-            pending.append(pool.submit(block, z, centroid if centroid.ndim == 0 else centroid[lo:hi, None]))
+            pending.append(pool.submit(block, z, centroid if centroid.ndim == 0 else centroid[lo:hi]))
         while pending:
             parts.append(pending.popleft().result())
     finally:

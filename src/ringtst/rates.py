@@ -9,16 +9,17 @@ F = exp(beta g_P^2 / 2 m P) * flux_sum for the harmonic-analysis flux
 (the eta0 Gaussian integral done in closed form).
 
 Both backends take f and the flux factors of each path from one
-``surfaces.surface_factors`` pass (``integrand_factors`` turns its
-SurfaceFactors into F_rpmd and F_ha); neither calls ``f_eval``.
+``surfaces.mode_factors`` pass over its Fourier-mode amplitudes
+(``integrand_factors`` turns its SurfaceFactors into F_rpmd and F_ha);
+neither calls ``f_eval`` or ``grad_f``.
 
 Monte-Carlo backend: exact normal-mode sampling of the free ring polymer
 with the centroid drawn from a Gaussian proposal, re-weighted by the
-potential factor; above 8 MB of paths the ensemble is drawn and evaluated
-in fixed blocks on a thread pool (``paths.map_free_ring_paths``), with
-results independent of the core count.  The delta constraint is realized
-by Gaussian windows of three fixed widths with linear extrapolation to
-zero width.
+potential factor; real-space paths are built for the potential sum alone.
+Above 8 MB of paths the ensemble is drawn and evaluated in fixed blocks on
+a thread pool (``paths.map_free_ring_paths``), with results independent of
+the core count.  The delta constraint is realized by Gaussian windows of
+three fixed widths with linear extrapolation to zero width.
 
 Grid oracle, P <= 4: a midpoint-rule quadrature over the P - 1 fluctuation
 modes, with the delta constraint solved exactly for the centroid; it covers
@@ -32,9 +33,9 @@ import numpy as np
 
 from .density import log_rho_ring
 from .params import ThermoParams
-from .paths import fourier_mode_basis, free_ring_mode_std, free_ring_paths, map_free_ring_paths
+from .paths import fourier_mode_basis, free_ring_amplitudes, free_ring_mode_std, map_free_ring_paths
 from .potentials import Potential
-from .surfaces import CentroidSurface, FourierNormSurface, Surface, SurfaceFactors, f_eval, surface_factors
+from .surfaces import CentroidSurface, FourierNormSurface, Surface, SurfaceFactors, mode_factors, surface_factors
 
 # log-weight bound beyond which the harmonic-analysis factor counts as
 # divergent at this bead count
@@ -141,24 +142,24 @@ def rate_estimates(
 
     Free ring polymers are drawn exactly with a Gaussian centroid proposal
     around d and re-weighted by the potential factor.  The ensemble goes
-    through ``map_free_ring_paths`` once: each block of paths is reduced to
-    its potential sum, then to f and the flux factors of one
-    ``surface_factors`` pass, so large ensembles are evaluated in blocks on
-    the worker pool and never held whole.  The delta constraint
-    is a Gaussian window at each of WINDOW_WIDTHS * sigma_f, evaluated once
-    for both flux factors; each rate is the zero-width intercept of the
-    linear fit to its window means, and its error bar comes from the same
-    intercept of n_batches consecutive batch means.
+    through ``map_free_ring_paths`` once: each block is reduced to the
+    potential sum of its real-space paths, then to f and the flux factors
+    of one ``mode_factors`` pass over its amplitudes, so large ensembles
+    are evaluated in blocks on the worker pool and never held whole.  The
+    delta constraint is a Gaussian window at each of WINDOW_WIDTHS *
+    sigma_f, evaluated once for both flux factors; each rate is the
+    zero-width intercept of the linear fit to its window means, and its
+    error bar comes from the same intercept of n_batches consecutive batch
+    means.
     """
     rng = np.random.default_rng(seed)
     sigma_c = params.hbar * np.sqrt(params.beta / params.mass)
     c = d + sigma_c * rng.standard_normal(n_samples)
 
-    def per_path(q):
-        # the potential is summed first: its path-sized temporary is freed
-        # before surface_factors allocates t_vec
-        v = np.sum(pot.value(q), axis=-1)
-        sf = surface_factors(spec, q, params)
+    def per_path(block):
+        # the paths and the potential's temporary are freed before the surface pass
+        v = np.sum(pot.value(block.paths()), axis=-1)
+        sf = mode_factors(spec, block.amps, block.centroid, params)
         return (v, sf.f, *integrand_factors(sf, params))
 
     v_sum, f, F_rpmd, F_ha, lw = map_free_ring_paths(params, n_samples, rng, per_path, centroid=c)
@@ -226,11 +227,11 @@ def grid_oracle_rate(pot: Potential, spec: Surface, d: float, params: ThermoPara
     dq = sqrt(P) dc dxi, and every surface reads f = cos(phi) c + N(B xi)
     with a translation-invariant norm term N (N = 0 and cos(phi) = 1 for
     the centroid).  The delta constraint then fixes the centroid exactly,
-    c* = (d - N) / cos(phi), and contributes 1 / |cos(phi)|.  One
-    ``surface_factors`` pass over the fluctuation paths B xi, whose mean is
-    0, gives N as their f, and the flux factors, which do not change when
-    the path is translated; only the density reads the shifted paths
-    B xi + c*.  Axis j spans
+    c* = (d - N) / cos(phi), and contributes 1 / |cos(phi)|.  The nodes xi
+    are basis amplitudes, so one ``mode_factors`` pass over them at
+    centroid 0 gives N as their f, and the flux factors, which do not
+    change when the path is translated; only the density reads the
+    real-space paths B xi + c*.  Axis j spans
     +- ORACLE_HALF_WIDTH free-ring standard deviations of mode j with the
     midpoint rule on ORACLE_CELLS cells, an even number, so the node xi = 0,
     where the norm term vanishes, is never evaluated.  Refinement doubles
@@ -256,11 +257,10 @@ def grid_oracle_rate(pot: Potential, spec: Surface, d: float, params: ThermoPara
         t = ORACLE_HALF_WIDTH * ((2.0 * np.arange(cells) + 1.0) / cells - 1.0)
         grids = np.meshgrid(*([t] * (P - 1)), indexing="ij")
         xi = np.stack([g.ravel() for g in grids], axis=-1) * sigma
-        q = xi @ basis.T
-        sf = surface_factors(spec, q, params)
+        sf = mode_factors(spec, xi, 0.0, params)
         F_rpmd, F_ha, _ = integrand_factors(sf, params)
+        q = xi @ basis.T
         q += ((d - sf.f) / cos_phi)[:, None]
-        del sf  # t_vec is not needed beside the density's temporaries
         rho = np.exp(log_rho_ring(q, params, pot))
         if np.any(np.isinf(F_ha)):
             raise OverflowError("harmonic-analysis weight overflows on grid")
@@ -289,13 +289,14 @@ def ratio_sweep(
 ) -> list[dict]:
     """Table of (P, ratio, error, divergence_flag) for the Fourier-norm
     surface family at phi = SWEEP_PHI with mode n(P) from the schedule;
-    each window is centered on the mean of f over free ring polymers."""
+    each window is centered on the mean of f over 2,000 free ring polymers
+    (centroid 0), taken from their amplitudes with no real-space path."""
     rows = []
     for i, P in enumerate(P_list):
         pp = params.with_beads(P)
         spec = FourierNormSurface(mode=schedule.mode(P), phi=SWEEP_PHI)
         rng = np.random.default_rng(seed + 7919 * i)
-        d = float(np.mean(f_eval(spec, free_ring_paths(pp, 2000, rng))))
+        d = float(np.mean(mode_factors(spec, free_ring_amplitudes(pp, 2000, rng), 0.0).f))
         rep = rate_estimates(pot, spec, d, pp, n_samples=n_samples, seed=seed + 7919 * i)
         rows.append(
             {

@@ -4,7 +4,8 @@ Deterministic series evaluate single-mode sinusoidal paths against a
 Fourier-norm surface with a matching mode; stochastic series average over
 thermal free-particle paths against the quadratic-difference surface,
 reduced block by block through ``paths.map_free_ring_paths`` (on the
-worker pool above 8 MB of paths).
+worker pool above 8 MB of paths) from the drawn Fourier-mode amplitudes,
+with no real-space path.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .closed_forms import tdiff_figure, tdiff_figure_amplitude
 from .fitting import fit_power_law
 from .params import ThermoParams
 from .paths import SinusoidalPathSpec, map_free_ring_paths, sinusoidal_path
-from .surfaces import FourierNormSurface, QuadDiffSurface, surface_factors
+from .surfaces import FourierNormSurface, QuadDiffSurface, mode_factors, surface_factors
 
 DEFAULT_P_SWEEP = tuple(2**k for k in range(4, 13))  # 16 .. 4096
 STOCHASTIC_P_SWEEP = tuple(2**k for k in range(4, 10))  # 16 .. 512
@@ -235,8 +236,8 @@ def quaddiff_orders(
         spec = QuadDiffSurface(offset=n, phi=QUADDIFF_PHI)
         pp = ThermoParams(bead_count=P)
 
-        def per_path(q):
-            sf = surface_factors(spec, q, pp)
+        def per_path(block):
+            sf = mode_factors(spec, block.amps, block.centroid, pp)
             return sf.b_p, np.abs(sf.t_diff(QUADDIFF_K)), np.abs(sf.g_p)
 
         b, t, g = map_free_ring_paths(pp, n_paths, rng, per_path)

@@ -13,12 +13,17 @@ Three surface families over a P-bead cyclic path q:
   keeping D_n / R(n) of order unity for thermal paths.
 
 All evaluators operate on the last axis, so a batch of paths with shape
-(n_paths, P) is handled in one call.  ``surface_factors`` is the one
-evaluator of the gradient-derived quantities: f, B_P, T, the flux sum, the
+(n_paths, P) is handled in one call.  ``mode_factors`` is the one evaluator
+of the gradient-derived quantities: f, B_P, T, the flux sum, the
 sum-difference and link-form g_P are attributes of the ``SurfaceFactors``
-it returns.  Every surface is homogeneous of degree one in q, so f is read
-from the same gradient through Euler's identity f(q) = sum_k q_k df/dq_k.
-``g_p`` keeps the cyclic form of g_P as an independent cross-check.
+it returns.  Its input is the paths' amplitudes on ``paths.fourier_mode_basis``
+and their centroids, the coordinates the free ring-polymer sampler draws:
+the surfaces are cyclically invariant, so every quadratic form behind them
+is circulant and diagonal in those amplitudes, and each factor is a
+weighted sum over them, with no real-space pass.  ``surface_factors`` takes
+real-space paths to the same evaluator through one centred rfft.
+``grad_f`` is the reference gradient, and ``g_p`` keeps the cyclic form of
+g_P as an independent cross-check; no ensemble calls either.
 
 The Fourier-mode sums of L_n are taken over q - qbar for 0 < n mod P: the
 cosine and sine columns sum to zero, so the value is the same, but the
@@ -26,12 +31,13 @@ rounding follows the fluctuations of the path rather than |q|.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .params import ThermoParams
-from .paths import BLOCK_ELEMS
+from .paths import _basis_rows, _irfft_paths, fourier_basis_eigenvalues, mode_amplitudes
 
 
 class SingularSurfaceError(ValueError):
@@ -92,13 +98,16 @@ Surface = CentroidSurface | FourierNormSurface | QuadDiffSurface
 _NORM_FLOOR = 1e-12
 
 
-def _check(spec: Surface, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    P = q.shape[-1]
+def _check_order(spec: Surface, P: int) -> None:
     if isinstance(spec, FourierNormSurface) and spec.mode > P:
         raise ValueError("surface mode exceeds bead count")
     if isinstance(spec, QuadDiffSurface) and spec.offset > P - 1:
         raise ValueError("surface offset exceeds P - 1")
+
+
+def _check(spec: Surface, q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    _check_order(spec, q.shape[-1])
     return q
 
 
@@ -137,9 +146,19 @@ def quad_diff_norm(q, n: int):
     return np.sqrt(_rowdot(diff, diff))
 
 
-def _singular(norm, q) -> np.ndarray:
-    """True where the norm term is below the floor relative to max(1, |q|)."""
-    return norm <= _NORM_FLOOR * np.maximum(1.0, np.sqrt(_rowdot(q, q)))
+def _singular(norm, q_sq) -> np.ndarray:
+    """True where the norm term is below the floor relative to max(1, |q|),
+    given |q|^2."""
+    return norm <= _NORM_FLOOR * np.maximum(1.0, np.sqrt(q_sq))
+
+
+def _raise_if_singular(norm, amps, centroid) -> None:
+    """grad_f's singular check on paths given in Fourier-mode coordinates,
+    where |q|^2 = sum amps^2 + P c^2 (the basis is orthonormal and
+    orthogonal to the constant path)."""
+    P = amps.shape[-1] + 1
+    if np.any(_singular(norm, _rowdot(amps, amps) + P * centroid**2)):
+        raise SingularSurfaceError("surface norm term vanishes on this path")
 
 
 def f_eval(spec: Surface, q):
@@ -169,7 +188,7 @@ def grad_f(spec: Surface, q):
     if isinstance(spec, FourierNormSurface):
         cs, basis = _mode_sums(q, spec.mode)
         L = np.hypot(cs[..., 0], cs[..., 1])
-        if np.any(_singular(L, q)):
+        if np.any(_singular(L, _rowdot(q, q))):
             raise SingularSurfaceError("surface norm term vanishes on this path")
         # sum_j cos(2 pi n (k - j)/P) q_j = cos(ang_k) C + sin(ang_k) S
         g = cs @ basis.T
@@ -179,7 +198,7 @@ def grad_f(spec: Surface, q):
         n = spec.offset
         diff = q - np.roll(q, -n, axis=-1)
         D = np.sqrt(_rowdot(diff, diff))
-        if np.any(_singular(D, q)):
+        if np.any(_singular(D, _rowdot(q, q))):
             raise SingularSurfaceError("surface norm term vanishes on this path")
         # 2 q_j - q_{j+n} - q_{j-n} = diff_j - diff_{j-n}
         g = diff - np.roll(diff, n, axis=-1)
@@ -196,90 +215,171 @@ def _g_p_coef(params: ThermoParams, P: int) -> float:
 @dataclass(frozen=True)
 class SurfaceFactors:
     """Surface quantities of a path (scalars) or a batch of paths (arrays
-    over the leading axes), all from one gradient evaluation per path.
+    over the leading axes), all from one evaluation per path.
 
-    f:              f(q) = sum_k q_k df/dq_k (Euler's identity)
+    f:              f(q), the surface value (not offset by d)
     b_p:            B_P = sum_k (df/dq_k)^2
-    t_vec:          T_k = (df/dq_k) / sqrt(B_P), same shape as the paths
+    t_vec:          T_k = (df/dq_k) / sqrt(B_P), same shape as the paths;
+                    built on first read
     flux_sum:       sum_k (df/dq_k) (T_{k-1} + 2 T_k + T_{k+1}) / 4
     sum_difference: flux_sum - sqrt(B_P)
     g_p:            link-form g_P; None when no ThermoParams were given
+
+    T is kept in Fourier-mode form, T_k = t0 + t1 sum_j mu_j a_j B_kj with
+    B = fourier_mode_basis(P) and a the amplitudes of the path (mu = None
+    for a T that is constant along the ring), so that ``t_diff`` reads two
+    rows of B and no (rows, P) array is built unless t_vec is read.
     """
 
     f: np.ndarray
     b_p: np.ndarray
-    t_vec: np.ndarray
     flux_sum: np.ndarray
     sum_difference: np.ndarray
     g_p: np.ndarray | None
+    _t0: np.ndarray = field(repr=False)
+    _t1: np.ndarray = field(repr=False)
+    _amps: np.ndarray = field(repr=False)
+    _mu: np.ndarray | None = field(repr=False)
+
+    @functools.cached_property
+    def t_vec(self) -> np.ndarray:
+        lead, P = self._amps.shape[:-1], self._amps.shape[-1] + 1
+        a = self._amps.reshape(-1, P - 1)
+        t0 = self._t0.reshape(-1, 1)
+        if self._mu is None:
+            return np.broadcast_to(t0, (a.shape[0], P)).reshape(lead + (P,))
+        T = _irfft_paths(a * self._mu, 0.0)
+        T *= self._t1.reshape(-1, 1)
+        T += t0
+        return T.reshape(lead + (P,))
 
     def t_diff(self, k: int):
         """Backward unit-gradient difference T_{k-1} - T_k (cyclic in k)."""
-        P = self.t_vec.shape[-1]
-        return self.t_vec[..., (k - 1) % P] - self.t_vec[..., k % P]
+        if self._mu is None:
+            return np.zeros_like(self._t0)[()]
+        P = self._amps.shape[-1] + 1
+        rows = _basis_rows(P, np.array([(k - 1) % P, k % P]))
+        return (self._t1 * (self._amps @ ((rows[0] - rows[1]) * self._mu)))[()]
 
 
-def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> SurfaceFactors:
-    """f, B_P, T, flux sum, sum-difference and link-form g_P of each path.
+def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = None) -> SurfaceFactors:
+    """f, B_P, T, flux sum, sum-difference and link-form g_P of paths given
+    by their fourier_mode_basis amplitudes (..., P - 1) and centroids
+    (a scalar or an array over the leading axes).
 
-    One ``grad_f`` call per path, in row blocks of about BLOCK_ELEMS
-    elements.  Every surface is homogeneous of degree one in q, so
-    f = sum_k q_k df/dq_k is one row dot product of that gradient.  With
-    S = sum_k (T_{k+1} - T_k)^2 = 2 (1 - A), where A = sum_k T_k T_{k+1},
-    the rolled sums re-sum in closed form:
+    Every quadratic form behind the surfaces is circulant, so diagonal in
+    those amplitudes.  With S = sum_k (T_{k+1} - T_k)^2 and the link sum
+    sum_k (q_{k+1} - q_k) T_k,
 
-        flux_sum       = sqrt(B_P) (1 + A) / 2 = sqrt(B_P) (1 - S / 4)
-        sum_difference = sqrt(B_P) (A - 1) / 2 = -sqrt(B_P) S / 4
+        flux_sum       = sqrt(B_P) (1 - S / 4)
+        sum_difference = -sqrt(B_P) S / 4
+        g_P            = (m P / 2 beta hbar) link.
 
-    (S instead of A - 1: no cancellation, and exactly zero for a constant T).
-    g_P = coef sum_k (q_{k+1} - q_k) T_k is a slice dot product plus the
-    wrap-around term, with no rolled copy.
+    Fourier-norm, mode n with 0 < n mod P, l = min(n, P - n): the mode
+    sums are (C, S_n) = sqrt(P/2) (a_l, b_l), or (sqrt(P) a_N, 0) at the
+    Nyquist mode, L = hypot(C, S_n), and
 
-    The centroid surface has the gradient 1/P on every path, so one row is
-    evaluated and broadcast (t_vec is then a read-only view): f is the
-    mean, S = 0, and g_P = 0 exactly, since the link sum telescopes.
+        f = cos(phi) c + sqrt(2) sin(phi) L / P,    B_P = 1 / P,
+        S = 4 sin^2(phi) sin^2(pi l / P),
+        link = -2 sin^2(pi l / P) (sqrt(2) sin(phi) / P) L / sqrt(B_P);
+
+    at the Nyquist mode B_P = (cos^2 phi + 2 sin^2 phi) / P and
+    S = 8 sin^2(phi) / (P B_P).  Modes 0 and P have L = P |c| and a
+    gradient constant along the ring, so S = link = 0.
+
+    Quad-diff, offset n: with lambda_1 and lambda_n the column eigenvalues
+    of the offset-1 and offset-n ring Laplacians and A = amps^2, one
+    product A @ W gives D_n^2 = A lambda_n, |curv|^2 = A lambda_n^2,
+    sum_k (curv_{k+1} - curv_k)^2 = A lambda_n^2 lambda_1 and
+    sum_k (q_{k+1} - q_k) curv_k = -A lambda_1 lambda_n / 2, where
+    curv_k = 2 q_k - q_{k+n} - q_{k-n}.  With a = sin(phi) / (R D_n):
+    f = cos(phi) c + sin(phi) D_n / R, B_P = cos^2(phi) / P + a^2 |curv|^2.
+
+    The singular check is grad_f's, with |q|^2 = sum amps^2 + P c^2.
     """
-    q = _check(spec, q)
-    P = q.shape[-1]
-    lead = q.shape[:-1]
-    flat = q.reshape(-1, P)
-    n = flat.shape[0]
+    amps = np.asarray(amps, dtype=float)
+    lead, P = amps.shape[:-1], amps.shape[-1] + 1
+    _check_order(spec, P)
+    a = amps.reshape(-1, P - 1)
+    n = a.shape[0]
+    c = np.broadcast_to(np.asarray(centroid, dtype=float), lead).reshape(-1)
+    mu = None
     if isinstance(spec, CentroidSurface):
-        g = grad_f(spec, flat[:1])
-        B = np.broadcast_to(_rowdot(g, g), (n,)).copy()
-        T = np.broadcast_to(g / np.sqrt(B[:1, None]), (n, P))
-        f = np.mean(flat, axis=-1)
-        S, link = np.zeros(n), np.zeros(n)
+        f, B, t0, t1 = c.copy(), np.full(n, 1.0 / P), 1.0 / P, 0.0
+        S, link = 0.0, 0.0
     else:
-        T = np.empty((n, P))
-        f, B, S, link = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-        rows = max(1, BLOCK_ELEMS // P)
-        for lo in range(0, n, rows):
-            blk = slice(lo, lo + rows)
-            qb, Tb = flat[blk], T[blk]
-            g = grad_f(spec, qb)
-            f[blk] = _rowdot(qb, g)
-            B[blk] = _rowdot(g, g)
-            if np.any(B[blk] == 0.0):
-                raise SingularSurfaceError("gradient vanishes; T undefined")
-            np.divide(g, np.sqrt(B[blk])[:, None], out=Tb)
-            dT = np.diff(Tb, axis=-1)
-            S[blk] = _rowdot(dT, dT) + (Tb[:, 0] - Tb[:, -1]) ** 2
-            link[blk] = _rowdot(np.diff(qb, axis=-1), Tb[:, :-1]) + (qb[:, 0] - qb[:, -1]) * Tb[:, -1]
+        cos_phi, sin_phi = np.cos(spec.phi), np.sin(spec.phi)
+        t0 = cos_phi / P
+        if isinstance(spec, FourierNormSurface) and spec.mode % P == 0:
+            L = P * np.abs(c)
+            _raise_if_singular(L, a, c)
+            norm_term = np.sqrt(2.0) * sin_phi * L / P
+            t0 = (cos_phi + np.sqrt(2.0) * sin_phi * np.sign(c)) / P
+            B = P * t0**2
+            t1, S, link = 0.0, 0.0, 0.0
+        elif isinstance(spec, FourierNormSurface):
+            l = min(spec.mode, P - spec.mode)
+            mu = np.zeros(P - 1)
+            s2 = np.sin(np.pi * l / P) ** 2
+            if 2 * l == P:
+                L = np.sqrt(P) * np.abs(a[:, -1])
+                B = np.full(n, (cos_phi**2 + 2.0 * sin_phi**2) / P)
+                S = 8.0 * sin_phi**2 / (P * B)
+                mu[-1] = P
+            else:
+                L = np.sqrt(P / 2.0) * np.hypot(a[:, 2 * l - 2], a[:, 2 * l - 1])
+                B = np.full(n, 1.0 / P)
+                S = 4.0 * sin_phi**2 * s2
+                mu[2 * l - 2 : 2 * l] = P / 2.0
+            _raise_if_singular(L, a, c)
+            norm_term = np.sqrt(2.0) * sin_phi * L / P
+            # dL/dq_k = sum_j mu_j a_j B_kj / L
+            t1 = np.sqrt(2.0) * sin_phi / (P * L)
+            link = -2.0 * s2 * norm_term
+        else:
+            lam_1 = fourier_basis_eigenvalues(P)
+            mu = fourier_basis_eigenvalues(P, spec.offset)
+            W = np.stack([mu, mu**2, mu**2 * lam_1, -0.5 * lam_1 * mu], axis=1)
+            D2, curv2, dcurv2, link = (a * a @ W).T
+            D = np.sqrt(D2)
+            _raise_if_singular(D, a, c)
+            R = spec.norm_factor(P)
+            t1 = sin_phi / (R * D)
+            B = cos_phi**2 / P + t1**2 * curv2
+            S = t1**2 * dcurv2 / B
+            link = t1 * link
+            norm_term = sin_phi * D / R
+        f = cos_phi * c + norm_term
+        if np.any(B == 0.0):
+            raise SingularSurfaceError("gradient vanishes; T undefined")
     root = np.sqrt(B)
     sum_diff = -0.25 * root * S
+    # the link sum of the unit vector T is that of the gradient over sqrt(B_P)
+    link = link / root
 
     def shaped(x):
-        return x.reshape(lead)[()]
+        x = np.asarray(x)
+        return (np.full(n, x) if x.ndim == 0 else x).reshape(lead)[()]
 
     return SurfaceFactors(
         f=shaped(f),
         b_p=shaped(B),
-        t_vec=T.reshape(q.shape),
         flux_sum=shaped(root + sum_diff),
         sum_difference=shaped(sum_diff),
         g_p=None if params is None else shaped(_g_p_coef(params, P) * link),
+        _t0=shaped(t0 / root),
+        _t1=shaped(t1 / root),
+        _amps=amps,
+        _mu=mu,
     )
+
+
+def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> SurfaceFactors:
+    """``mode_factors`` of real-space paths q (..., P): one centred rfft
+    maps them to their amplitudes and centroids.  Scalars for a single
+    path, arrays over the leading axes for a batch."""
+    q = _check(spec, q)
+    return mode_factors(spec, *mode_amplitudes(q), params)
 
 
 def g_p(spec: Surface, q, params: ThermoParams):

@@ -1,6 +1,7 @@
 """The blocked, pooled evaluation of large free ring-polymer ensembles:
-the irfft transform, the random stream, independence of the worker count,
-agreement with the dense draw, and errors raised inside a worker."""
+the irfft transform and its rfft inverse, the random stream, independence
+of the worker count, agreement with the dense draw, and errors raised
+inside a worker."""
 import dataclasses
 import sys
 import threading
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 
 from ringtst import paths
 from ringtst.params import ThermoParams
-from ringtst.paths import fourier_mode_basis, free_ring_mode_std, free_ring_paths, map_free_ring_paths
+from ringtst.paths import (
+    fourier_mode_basis,
+    free_ring_amplitudes,
+    free_ring_mode_std,
+    free_ring_paths,
+    map_free_ring_paths,
+)
 from ringtst.potentials import Eckart
 from ringtst.rates import rate_estimates
 from ringtst.scaling import quaddiff_orders
@@ -34,12 +41,16 @@ POOLED = dict(P=256, n=5_000)
 def test_irfft_block_matches_mode_basis(P, rows, beta, centroid, seed):
     params = ThermoParams(beta=beta, bead_count=P)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((rows, P - 1))
+    amps = rng.standard_normal((rows, P - 1)) * free_ring_mode_std(params)
     c = rng.standard_normal((rows, 1)) if centroid == "per-sample" else centroid
-    got = paths._irfft_paths(z, paths._irfft_weights(params), c)
-    want = (z * free_ring_mode_std(params)) @ fourier_mode_basis(P).T + c
+    got = paths._irfft_paths(amps, c)
+    want = amps @ fourier_mode_basis(P).T + c
     assert got.shape == (rows, P)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the centred rfft maps the paths back to their amplitudes and centroids
+    back, c_back = paths.mode_amplitudes(got)
+    assert np.max(np.abs(back - amps)) <= 1e-13 * np.max(np.abs(amps))
+    assert np.max(np.abs(c_back - np.ravel(c))) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_small_ensemble_runs_inline_and_bit_identical(monkeypatch):
@@ -50,10 +61,18 @@ def test_small_ensemble_runs_inline_and_bit_identical(monkeypatch):
     params = ThermoParams(bead_count=8)
     n = paths.INLINE_ELEMS // 8
     c = np.linspace(-1.0, 1.0, n)
-    got = map_free_ring_paths(params, n, np.random.default_rng(3), lambda q: (q.sum(axis=-1), q[:, 0]), centroid=c)
+
+    def per_path(block):
+        assert not block.pooled and block.amps.shape == (n, 7)
+        q = block.paths()
+        return q.sum(axis=-1), q[:, 0], block.amps[:, 0], block.centroid
+
+    got = map_free_ring_paths(params, n, np.random.default_rng(3), per_path, centroid=c)
     q = free_ring_paths(params, n, np.random.default_rng(3), centroid=c)
     assert np.array_equal(got[0], q.sum(axis=-1))
     assert np.array_equal(got[1], q[:, 0])
+    assert np.array_equal(got[2], free_ring_amplitudes(params, n, np.random.default_rng(3))[:, 0])
+    assert np.array_equal(got[3], c)
 
 
 @pytest.mark.parametrize("centroid", ["scalar", "per-sample"])
@@ -63,10 +82,18 @@ def test_blocked_draw_keeps_the_stream(centroid):
     assert n * POOLED["P"] > paths.INLINE_ELEMS
     c = 0.4 if centroid == "scalar" else np.linspace(-2.0, 2.0, n)
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-    columns = map_free_ring_paths(params, n, rng_a, lambda q: tuple(q.T), centroid=c)
-    got = np.stack(columns, axis=1)
+
+    def per_path(block):
+        assert block.pooled
+        return (*block.paths().T, *block.amps.T)
+
+    columns = map_free_ring_paths(params, n, rng_a, per_path, centroid=c)
+    got = np.stack(columns[: POOLED["P"]], axis=1)
     want = free_ring_paths(params, n, rng_b, centroid=c)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the amplitudes are the one draw's, bit for bit
+    amps = np.stack(columns[POOLED["P"] :], axis=1)
+    assert np.array_equal(amps, free_ring_amplitudes(params, n, np.random.default_rng(9)))
     # the same number of normals was consumed
     assert rng_a.random() == rng_b.random()
 
@@ -118,16 +145,16 @@ def test_worker_exception_reaches_caller():
     calls = []
     lock = threading.Lock()
 
-    def per_path(q):
+    def per_path(block):
         with lock:
-            calls.append(len(q))
+            calls.append(len(block.amps))
             third = len(calls) == 3
         if third:
             raise SingularSurfaceError("norm term vanishes in block 3")
-        return (q[:, 0],)
+        return (block.amps[:, 0],)
 
     with pytest.raises(SingularSurfaceError, match="norm term vanishes in block 3"):
         map_free_ring_paths(params, POOLED["n"], np.random.default_rng(0), per_path)
     # the pool is still usable afterwards
-    (first,) = map_free_ring_paths(params, POOLED["n"], np.random.default_rng(0), lambda q: (q[:, 0],))
+    (first,) = map_free_ring_paths(params, POOLED["n"], np.random.default_rng(0), lambda b: (b.amps[:, 0],))
     assert first.shape == (POOLED["n"],)

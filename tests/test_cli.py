@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -90,10 +91,18 @@ def test_unknown_key_rejected_no_artifacts(tmp_path):
     assert not (out / "rate.json").exists()
 
 
-def test_malformed_yaml_rejected(tmp_path):
+def test_malformed_yaml_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("command: [unclosed\n")
-    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    # one line: the problem (libyaml and the pure-Python parser word it
+    # differently), its line and column, and the parser's context
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: config is not valid YAML at line 2, column 1: ")
+    assert err.endswith(" (while parsing a flow sequence)\n")
+    assert not out.exists()
 
 
 def test_empty_config_rejected(tmp_path):
@@ -304,10 +313,15 @@ def test_validate_config_message_matches_jsonschema_validate():
 
 # jsonschema with the one deliberate difference of the walker: an integral
 # float is not an integer
-STRICT_INTEGER = jsonschema.validators.extend(
+STRICT_TYPES = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool)
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {
+            "integer": lambda checker, v: isinstance(v, int) and not isinstance(v, bool),
+            "number": lambda checker, v: isinstance(v, (int, float))
+            and not isinstance(v, bool)
+            and math.isfinite(v),
+        }
     ),
 )
 
@@ -375,8 +389,9 @@ def mostly(usual, other):
 @given(near_schema(CONFIG_SCHEMA).filter(lambda cfg: isinstance(cfg, dict)))
 def test_walker_agrees_with_jsonschema(cfg):
     got = walker_message(cfg)
-    assert got == jsonschema_message(cfg, STRICT_INTEGER)
-    # integral floats for integer keys are the only configs jsonschema passes and the walker rejects
+    assert got == jsonschema_message(cfg, STRICT_TYPES)
+    # integral floats for integer keys, and NaN and +-inf, are the only
+    # configs jsonschema passes and the walker rejects
     if jsonschema_message(cfg) is not None:
         assert got is not None
 
@@ -430,6 +445,26 @@ def test_integral_float_for_integer_key_rejected(tmp_path, capsys, text, message
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: invalid config at {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("command: rate\nthermo: {{beta: {}}}\n", "thermo/beta"),
+        ("command: rate\nd: {}\n", "d"),
+        ("command: rate\nsurface: {{kind: fourier_norm, mode: 1, phi: {}}}\n", "surface/phi"),
+    ],
+    ids=["beta", "d", "phi"],
+)
+def test_non_finite_number_rejected(tmp_path, capsys, text, key, value):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text.format(value))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    number = {".nan": "nan", ".inf": "inf", "-.inf": "-inf"}[value]
+    assert capsys.readouterr().err == f"error: invalid config at {key}: {number} is not of type 'number'\n"
     assert not out.exists()
 
 

@@ -52,6 +52,37 @@ def test_basis_diagonalizes_ring_laplacian():
     assert B.T @ L @ B == pytest.approx(np.diag(lam), abs=1e-10)
 
 
+def loop_basis_and_eigenvalues(P):
+    """The tables built column by column, the reference for the array
+    expressions."""
+    k = np.arange(P)
+    cols, vals = [], []
+    for l in range(1, P // 2 + 1):
+        lam = 4.0 * np.sin(np.pi * l / P) ** 2
+        if 2 * l == P:
+            cols.append(np.cos(np.pi * k) / np.sqrt(P))
+            vals.append(lam)
+        else:
+            cols.append(np.sqrt(2.0 / P) * np.cos(2.0 * np.pi * l * k / P))
+            cols.append(np.sqrt(2.0 / P) * np.sin(2.0 * np.pi * l * k / P))
+            vals.extend((lam, lam))
+    return np.stack(cols, axis=1), np.asarray(vals)
+
+
+@pytest.mark.parametrize("P", [2, 3, 4, 7, 16, 33, 216, 256, 1024])
+def test_mode_tables_match_loop_reference(P):
+    basis, lam = loop_basis_and_eigenvalues(P)
+    assert np.array_equal(fourier_mode_basis(P), basis)
+    # the scalar ** 2 of the loop goes through libm pow, which at some P
+    # (216 here) is one ulp off the correctly rounded square of the array
+    np.testing.assert_array_max_ulp(fourier_basis_eigenvalues(P), lam, maxulp=1)
+    # offset n: 4 sin^2(pi n l / P), the eigenvalues of 2 q_k - q_{k+n} - q_{k-n}
+    for n in {1, 2, P // 2, P - 1} - {0}:
+        shift = np.roll(np.eye(P), n, 0) + np.roll(np.eye(P), -n, 0)
+        diag = basis.T @ (2.0 * np.eye(P) - shift) @ basis
+        assert fourier_basis_eigenvalues(P, n) == pytest.approx(np.diag(diag), abs=1e-10)
+
+
 def test_free_ring_paths_moments():
     params = ThermoParams(beta=3.0, bead_count=16)
     rng = np.random.default_rng(5)

@@ -1,12 +1,15 @@
-"""surface_factors against the separate rolled-sum definitions and f_eval,
-its invariants, and the one-surface-pass-per-path guarantee of its callers."""
+"""surface_factors and mode_factors against the separate rolled-sum
+definitions and f_eval, their invariants, and the one-surface-pass-per-path
+guarantee of their callers: ensembles and the grid oracle evaluate each path
+once, in Fourier-mode coordinates, with no grad_f call."""
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ringtst import rates, surfaces
+from ringtst import paths, rates, scaling, surfaces
 from ringtst.params import ThermoParams
+from ringtst.paths import BLOCK_ELEMS, fourier_mode_basis
 from ringtst.potentials import Eckart, Harmonic
 from ringtst.rates import ORACLE_CELLS, grid_oracle_rate, integrand_factors, rate_estimates
 from ringtst.scaling import quaddiff_orders
@@ -16,7 +19,10 @@ from ringtst.surfaces import (
     QuadDiffSurface,
     SingularSurfaceError,
     f_eval,
+    fourier_mode_norm,
     g_p,
+    mode_factors,
+    quad_diff_norm,
     surface_factors,
 )
 
@@ -42,8 +48,11 @@ def reference_factors(spec, q, params):
         g = np.cos(spec.phi) / P + np.sqrt(2.0) * np.sin(spec.phi) * conv / (P * np.hypot(c, s))
     else:
         n = spec.offset
-        D = np.sqrt(np.sum((q - np.roll(q, -n, axis=-1)) ** 2, axis=-1, keepdims=True))
-        curv = 2.0 * q - np.roll(q, -n, axis=-1) - np.roll(q, n, axis=-1)
+        diff = q - np.roll(q, -n, axis=-1)
+        D = np.sqrt(np.sum(diff**2, axis=-1, keepdims=True))
+        # 2 q_j - q_{j+n} - q_{j-n} from differences of near-equal beads,
+        # which are exact: 2 q_j - q_{j+n} rounds at eps |q|
+        curv = diff - np.roll(diff, n, axis=-1)
         g = np.cos(spec.phi) / P + np.sin(spec.phi) * curv / (spec.norm_factor(P) * D)
     B = np.sum(g**2, axis=-1)
     T = g / np.sqrt(B)[..., None]
@@ -87,11 +96,19 @@ def surface_and_paths(draw):
         spec = FourierNormSurface(mode=draw(st.integers(0, P)), phi=phi)
     else:
         spec = QuadDiffSurface(offset=draw(st.integers(1, P - 1)), phi=phi)
-    block = max(1, surfaces.BLOCK_ELEMS // P)
+    block = max(1, BLOCK_ELEMS // P)
     rows = draw(st.sampled_from([None, 1, 7, block - 1, block, block + 1, 2 * block + 3]))
     shape = (P,) if rows is None else (rows, P)
     seed = draw(st.integers(0, 2**32 - 1))
-    q = 0.7 * np.random.default_rng(seed).standard_normal(shape) + draw(st.floats(-2.0, 2.0))
+    # 1e-6: near-constant paths far from the origin
+    spread = draw(st.sampled_from([0.7, 1e-3, 1e-6]))
+    q = spread * np.random.default_rng(seed).standard_normal(shape) + draw(st.floats(-2.0, 2.0))
+    # among thousands of near-constant rows, one can come within rounding
+    # of the singular floor (1e-12 of max(1, |q|)), where the evaluators
+    # may rightly disagree on raising
+    if not isinstance(spec, CentroidSurface):
+        norm = fourier_mode_norm(q, spec.mode) if kind == "fourier_norm" else quad_diff_norm(q, spec.offset)
+        assume(np.all(norm > 1e-10 * np.maximum(1.0, np.sqrt(np.sum(q**2, axis=-1)))))
     return spec, q, ThermoParams(bead_count=P, beta=draw(st.floats(0.5, 4.0)))
 
 
@@ -102,8 +119,8 @@ def assert_close(name, got, want, scale):
     assert np.all(err <= TOL * scale), f"{name}: worst {np.max(err / scale):.2e} of its scale"
 
 
-def _offset_paths(seed, shape, offset):
-    return 0.7 * np.random.default_rng(seed).standard_normal(shape) + offset
+def _offset_paths(seed, shape, offset, spread=0.7):
+    return spread * np.random.default_rng(seed).standard_normal(shape) + offset
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,18 +128,28 @@ def _offset_paths(seed, shape, offset):
 # Fourier-norm modes 0 and P, where L_n = |sum_j q_j| is not centred
 @example((FourierNormSurface(mode=0, phi=0.6), _offset_paths(1, (7, 12), 1.5), ThermoParams(bead_count=12)))
 @example((FourierNormSurface(mode=12, phi=-0.9), _offset_paths(2, (7, 12), -0.4), ThermoParams(bead_count=12)))
+# the Nyquist mode, and its neighbours, on near-constant paths
+@example((FourierNormSurface(mode=32, phi=0.8), _offset_paths(3, (9, 64), 1.7, 1e-6), ThermoParams(bead_count=64)))
+@example((FourierNormSurface(mode=1, phi=-1.2), _offset_paths(4, (9, 2), -2.0, 1e-6), ThermoParams(bead_count=2)))
+@example((FourierNormSurface(mode=33, phi=0.4), _offset_paths(5, (9, 64), 2.0, 1e-6), ThermoParams(bead_count=64)))
+@example((QuadDiffSurface(offset=32, phi=1.1), _offset_paths(6, (9, 64), -1.9, 1e-6), ThermoParams(bead_count=64)))
+@example((QuadDiffSurface(offset=62, phi=-0.5), _offset_paths(7, (9, 63), 1.3, 1e-6), ThermoParams(bead_count=63)))
 # an uncentred reference is off by 1.19e-12 in T here; surface_factors is within 1.7e-14 of the exact value
 @example((FourierNormSurface(mode=24, phi=1.0), _offset_paths(24, (3275, 40), 2.0), ThermoParams(bead_count=40)))
 def test_surface_factors_match_rolled_definitions(case):
+    """The real-space entry and the amplitude entry, fed the projection of
+    q - qbar on fourier_mode_basis, against the definitions."""
     spec, q, params = case
-    sf = surface_factors(spec, q, params)
+    P = q.shape[-1]
+    c = np.mean(q, axis=-1)
+    amps = (q - c[..., None]) @ fourier_mode_basis(P)
     ref = reference_factors(spec, q, params)
     sc = scales(q, params, ref["b_p"])
-    for name, want in ref.items():
-        assert_close(name, getattr(sf, name), want, sc[name])
     k = 3
-    P = q.shape[-1]
-    assert_close("t_diff", sf.t_diff(k), ref["t_vec"][..., (k - 1) % P] - ref["t_vec"][..., k % P], 2.0)
+    for sf in (surface_factors(spec, q, params), mode_factors(spec, amps, c, params)):
+        for name, want in ref.items():
+            assert_close(name, getattr(sf, name), want, sc[name])
+        assert_close("t_diff", sf.t_diff(k), ref["t_vec"][..., (k - 1) % P] - ref["t_vec"][..., k % P], 2.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,9 +186,8 @@ def test_link_and_cyclic_g_p_agree(case):
 
 @pytest.mark.parametrize("P", [2, 3, 8, 1024])
 def test_centroid_closed_form_matches_generic(P):
-    """The centroid's one-row closed form against the blocked gradient pass,
-    reached through a Fourier-norm surface at phi = 0, whose gradient is
-    the same 1/P on every bead."""
+    """The centroid's closed form against the Fourier-norm evaluation at
+    phi = 0, whose gradient is the same 1/P on every bead."""
     q = 0.7 * np.random.default_rng(P).standard_normal((50, P)) + 1.3
     params = ThermoParams(bead_count=P)
     closed = surface_factors(CentroidSurface(), q, params)
@@ -184,12 +210,16 @@ def test_single_path_gives_scalars():
 
 
 def test_singular_row_raises_from_any_block():
-    spec = FourierNormSurface(mode=3, phi=0.5)
     P = 16
-    q = np.random.default_rng(1).standard_normal((3 * (surfaces.BLOCK_ELEMS // P), P))
-    q[-1] = 1.0  # constant path: zero mode norm, in the last block
-    with pytest.raises(SingularSurfaceError):
-        surface_factors(spec, q)
+    q = np.random.default_rng(1).standard_normal((3 * (BLOCK_ELEMS // P), P))
+    q[-1] = 1.0  # constant path: zero norm term, in the last row
+    amps = np.random.default_rng(2).standard_normal((3 * (BLOCK_ELEMS // P), P - 1))
+    amps[-1] = 0.0
+    for spec in (FourierNormSurface(mode=3, phi=0.5), QuadDiffSurface(offset=5, phi=0.5)):
+        with pytest.raises(SingularSurfaceError):
+            surface_factors(spec, q)
+        with pytest.raises(SingularSurfaceError):
+            mode_factors(spec, amps, 1.0)
 
 
 @pytest.fixture
@@ -206,23 +236,41 @@ def grad_rows(monkeypatch):
     return rows
 
 
+@pytest.fixture
+def mode_rows(monkeypatch):
+    """Counts the path rows mode_factors is evaluated on, through the
+    surfaces module and the names rates and scaling import."""
+    rows = []
+    inner = surfaces.mode_factors
+
+    def counted(spec, amps, centroid, params=None):
+        rows.append(int(np.prod(np.shape(amps)[:-1])))
+        return inner(spec, amps, centroid, params)
+
+    for module in (surfaces, rates, scaling):
+        monkeypatch.setattr(module, "mode_factors", counted)
+    return rows
+
+
 @pytest.mark.parametrize(
     "spec",
     [CentroidSurface(), FourierNormSurface(mode=2, phi=0.5), QuadDiffSurface(offset=3, phi=0.7)],
     ids=["centroid", "fourier", "quaddiff"],
 )
-def test_integrand_factors_one_gradient_per_path(grad_rows, spec):
-    P, n = 32, 3 * (surfaces.BLOCK_ELEMS // 32) + 5
+def test_integrand_factors_one_gradient_per_path(grad_rows, mode_rows, spec):
+    """The gradient quantities of each path come from one mode_factors
+    evaluation, in closed form: grad_f is never called."""
+    P, n = 32, 3 * (BLOCK_ELEMS // 32) + 5
     q = np.random.default_rng(2).standard_normal((n, P))
     params = ThermoParams(bead_count=P)
     integrand_factors(surface_factors(spec, q, params), params)
-    # the centroid gradient is 1/P on every path: one row, broadcast
-    assert sum(grad_rows) == (1 if isinstance(spec, CentroidSurface) else n)
+    assert mode_rows == [n]
+    assert grad_rows == []
 
 
 @pytest.fixture
 def f_calls(monkeypatch):
-    """Counts f_eval calls, through the surfaces module and the name rates imports."""
+    """Counts f_eval calls."""
     calls = []
     inner = surfaces.f_eval
 
@@ -231,7 +279,6 @@ def f_calls(monkeypatch):
         return inner(spec, q)
 
     monkeypatch.setattr(surfaces, "f_eval", counted)
-    monkeypatch.setattr(rates, "f_eval", counted)
     return calls
 
 
@@ -240,27 +287,42 @@ def f_calls(monkeypatch):
     [CentroidSurface(), FourierNormSurface(mode=1, phi=0.5), QuadDiffSurface(offset=1, phi=0.7)],
     ids=["centroid", "fourier", "quaddiff"],
 )
-def test_grid_oracle_one_surface_pass_per_node(grad_rows, f_calls, spec):
+def test_grid_oracle_one_surface_pass_per_node(grad_rows, mode_rows, f_calls, spec):
     grid_oracle_rate(Harmonic(omega=1.0), spec, 0.0, ThermoParams(bead_count=3))
     # coarse and refined grid over the P - 1 = 2 fluctuation modes
-    nodes = ORACLE_CELLS**2 + (2 * ORACLE_CELLS) ** 2
-    assert sum(grad_rows) == (2 if isinstance(spec, CentroidSurface) else nodes)
+    assert mode_rows == [ORACLE_CELLS**2, (2 * ORACLE_CELLS) ** 2]
+    assert grad_rows == []
     assert f_calls == []
 
 
-def test_rate_estimates_one_gradient_per_path(grad_rows, f_calls):
-    # f comes from the same surface_factors pass: no f_eval call
+def test_rate_estimates_one_gradient_per_path(grad_rows, mode_rows, f_calls):
+    # f comes from the same mode_factors pass: no f_eval call
     spec = FourierNormSurface(mode=2, phi=0.5)
     rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=16), n_samples=2000, seed=1)
-    assert sum(grad_rows) == 2000
-    assert f_calls == []
+    assert mode_rows == [2000]
     # n P above paths.INLINE_ELEMS: blocks evaluated on the worker pool
-    grad_rows.clear()
+    mode_rows.clear()
     rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=256), n_samples=5000, seed=1)
-    assert sum(grad_rows) == 5000
+    assert sum(mode_rows) == 5000 and len(mode_rows) == -(-5000 // (BLOCK_ELEMS // 256))
+    assert grad_rows == []
     assert f_calls == []
 
 
-def test_quaddiff_orders_one_gradient_per_path(grad_rows):
+def test_quaddiff_orders_one_gradient_per_path(grad_rows, mode_rows, monkeypatch):
+    """One mode_factors pass per path, and no real-space path: neither the
+    paths of a block, nor t_vec, nor the real-space entry."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quaddiff_orders built a real-space path")
+
+    monkeypatch.setattr(paths.ModeBlock, "paths", forbidden)
+    for module in (paths, surfaces):
+        monkeypatch.setattr(module, "_irfft_paths", forbidden)
+        monkeypatch.setattr(module, "mode_amplitudes", forbidden)
     quaddiff_orders("half", P_list=(16, 32, 64), n_paths=500, seed=3)
-    assert sum(grad_rows) == 3 * 500
+    assert mode_rows == [500, 500, 500]
+    # n P above paths.INLINE_ELEMS: pooled blocks
+    mode_rows.clear()
+    quaddiff_orders("one", P_list=(128, 256), n_paths=5000, seed=3)
+    assert sum(mode_rows) == 2 * 5000
+    assert grad_rows == []
