@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .density import log_rho_ring
 from .params import ThermoParams
-from .paths import SinusoidalPathSpec, cyclic_shift, free_ring_paths, sinusoidal_path
+from .paths import SinusoidalPathSpec, cyclic_shift, sinusoidal_path
 from .potentials import DoubleWell, Eckart, FreeParticle, Harmonic, Potential
 from .rates import (
     RateReport,
@@ -48,7 +48,6 @@ __all__ = [
     "SinusoidalPathSpec",
     "sinusoidal_path",
     "cyclic_shift",
-    "free_ring_paths",
     "log_rho_ring",
     "CentroidSurface",
     "FourierNormSurface",

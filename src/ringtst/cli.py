@@ -263,7 +263,7 @@ def cmd_scaling(cfg, out: Path, cfg_hash: str) -> int:
     series = [
         tdiff_series(sched, k=cfg["k_index"], alpha=alpha, P_list=P_list, variant="figure"),
         tdiff_series(sched, k=cfg["k_index"], alpha=alpha, P_list=P_list, variant="amplitude"),
-        gp_series(sched, 1.0, P_list, params, alpha=alpha),
+        gp_series(sched, P_list, params, alpha=alpha),
         sumdiff_series(sched, P_list, alpha=alpha),
     ]
     rows = [

@@ -181,19 +181,6 @@ class ModeBlock:
         return q
 
 
-def free_ring_paths(
-    params: ThermoParams,
-    n_samples: int,
-    rng: np.random.Generator,
-    centroid: float | np.ndarray = 0.0,
-) -> np.ndarray:
-    """Exact free-particle ring-polymer paths, (n_samples, P): the
-    fluctuations of ``free_ring_amplitudes`` around the given centroid
-    (scalar or per-sample array), which the free weight does not constrain.
-    """
-    return ModeBlock(free_ring_amplitudes(params, n_samples, rng), centroid).paths()
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -217,8 +204,10 @@ def map_free_ring_paths(
     per_path,
     centroid: float | np.ndarray = 0.0,
 ) -> tuple[np.ndarray, ...]:
-    """per_path applied to free ring-polymer paths, the same draw as
-    ``free_ring_paths(params, n_samples, rng, centroid)``.
+    """per_path applied to free ring-polymer paths around the given
+    centroid (scalar or per-sample array, which the free weight does not
+    constrain): the same draw as ``free_ring_amplitudes(params, n_samples,
+    rng)``.
 
     per_path maps a ModeBlock of rows paths to a tuple of 1-D arrays of
     length rows; the result is each of those arrays over all n_samples

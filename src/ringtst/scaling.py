@@ -104,10 +104,10 @@ class ScalingSeries:
         )
 
 
-def _matching_pair(schedule: ModeSchedule, P: int, amplitude: float, alpha: float):
+def _matching_pair(schedule: ModeSchedule, P: int, alpha: float):
     n = schedule.mode(P)
     spec = FourierNormSurface(mode=n, phi=MATCHING_PHI, phi_floor=0.0)
-    q = sinusoidal_path(SinusoidalPathSpec(q0=0.0, amplitude=amplitude, mode=n, phase=alpha), P)
+    q = sinusoidal_path(SinusoidalPathSpec(q0=0.0, amplitude=1.0, mode=n, phase=alpha), P)
     return spec, q
 
 
@@ -141,15 +141,15 @@ def tdiff_series(
 
 def gp_series(
     schedule: ModeSchedule,
-    amplitude: float,
     P_list,
     params: ThermoParams,
     alpha: float = 0.0,
 ) -> ScalingSeries:
-    """|g_P| on matching sinusoidal paths, generic evaluation (phi = MATCHING_PHI)."""
+    """|g_P| on matching unit-amplitude sinusoidal paths, generic evaluation
+    (phi = MATCHING_PHI)."""
     values = []
     for P in P_list:
-        spec, q = _matching_pair(schedule, P, amplitude, alpha)
+        spec, q = _matching_pair(schedule, P, alpha)
         values.append(abs(float(surface_factors(spec, q, params.with_beads(P)).g_p)))
     return ScalingSeries.from_points(f"gp[{schedule.label}]", P_list, values)
 
@@ -163,7 +163,7 @@ def sumdiff_series(
     (phi = MATCHING_PHI)."""
     values = []
     for P in P_list:
-        spec, q = _matching_pair(schedule, P, 1.0, alpha)
+        spec, q = _matching_pair(schedule, P, alpha)
         values.append(abs(float(surface_factors(spec, q).sum_difference)))
     return ScalingSeries.from_points(f"sumdiff[{schedule.label}]", P_list, values)
 

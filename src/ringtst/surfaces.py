@@ -17,13 +17,14 @@ All evaluators operate on the last axis, so a batch of paths with shape
 of the gradient-derived quantities: f, B_P, T, the flux sum, the
 sum-difference and link-form g_P are attributes of the ``SurfaceFactors``
 it returns.  Its input is the paths' amplitudes on ``paths.fourier_mode_basis``
-and their centroids, the coordinates the free ring-polymer sampler draws:
-the surfaces are cyclically invariant, so every quadratic form behind them
-is circulant and diagonal in those amplitudes, and each factor is a
-weighted sum over them, with no real-space pass.  ``surface_factors`` takes
-real-space paths to the same evaluator through one centred rfft.
-``grad_f`` is the reference gradient, and ``g_p`` keeps the cyclic form of
-g_P as an independent cross-check; no ensemble calls either.
+and their centroids, the coordinates the free ring-polymer sampler draws.
+The surfaces are cyclically invariant, so both non-centroid families read
+f = cos(phi) c + sin(phi) N / R with N^2 a weighted sum of squared
+amplitudes, and one code path evaluates them, with no real-space pass.
+``surface_factors`` takes real-space paths to the same evaluator through
+one centred rfft.  ``f_eval`` and ``grad_f`` are the reference value and
+gradient, and ``g_p`` keeps the cyclic form of g_P as an independent
+cross-check; no ensemble calls them.
 
 The Fourier-mode sums of L_n are taken over q - qbar for 0 < n mod P: the
 cosine and sine columns sum to zero, so the value is the same, but the
@@ -44,6 +45,15 @@ class SingularSurfaceError(ValueError):
     """Gradient requested where the surface norm term vanishes."""
 
 
+# Smallest |cos(phi)| a surface accepts by default.
+PHI_FLOOR = 1e-3
+
+
+def _check_phi(phi: float, floor: float) -> None:
+    if abs(np.cos(phi)) < floor:
+        raise ValueError(f"|cos(phi)| = {abs(np.cos(phi)):.3e} below floor {floor:.1e}")
+
+
 @dataclass(frozen=True)
 class CentroidSurface:
     """Bead-average dividing coordinate."""
@@ -60,32 +70,30 @@ class FourierNormSurface:
 
     mode: int
     phi: float
-    phi_floor: float = 1e-3
+    phi_floor: float = PHI_FLOOR
 
     def __post_init__(self):
         if self.mode < 0:
             raise ValueError("mode must be nonnegative")
-        if abs(np.cos(self.phi)) < self.phi_floor:
-            raise ValueError(
-                f"|cos(phi)| = {abs(np.cos(self.phi)):.3e} below floor {self.phi_floor:.1e}"
-            )
+        _check_phi(self.phi, self.phi_floor)
+
+    def norm_factor(self, bead_count: int) -> float:
+        """R = P / sqrt(2), so that f = cos(phi) c + sin(phi) L_n / R."""
+        return bead_count / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class QuadDiffSurface:
-    """Centroid mixed with the norm of offset-n bead differences."""
+    """Centroid mixed with the norm of offset-n bead differences; |cos(phi)|
+    must be at least PHI_FLOOR."""
 
     offset: int
     phi: float
-    phi_floor: float = 1e-3
 
     def __post_init__(self):
         if self.offset < 1:
             raise ValueError("offset must be >= 1")
-        if abs(np.cos(self.phi)) < self.phi_floor:
-            raise ValueError(
-                f"|cos(phi)| = {abs(np.cos(self.phi)):.3e} below floor {self.phi_floor:.1e}"
-            )
+        _check_phi(self.phi, PHI_FLOOR)
 
     def norm_factor(self, bead_count: int) -> float:
         """R(n): order 1 for n = O(1), order sqrt(P) for n near P/2."""
@@ -262,6 +270,29 @@ class SurfaceFactors:
         return (self._t1 * (self._amps @ ((rows[0] - rows[1]) * self._mu)))[()]
 
 
+@functools.lru_cache(maxsize=64)
+def _mode_weights(spec: FourierNormSurface | QuadDiffSurface, P: int) -> tuple[slice, np.ndarray, np.ndarray]:
+    """(cols, W, mu) of N^2 = sum_j w_j a_j^2 over the columns a[:, cols], a
+    slice so that a[:, cols] is a view: quad-diff offset n weights every
+    column by lambda_n; Fourier-norm mode l = min(n, P - n) its (cos, sin)
+    columns by P / 2, or the Nyquist column by P.  W = [w, w^2, w^2 lambda_1,
+    -lambda_1 w / 2] and mu = w on all P - 1 columns are cached, read-only."""
+    if isinstance(spec, QuadDiffSurface):
+        cols, w = slice(None), fourier_basis_eigenvalues(P, spec.offset)
+    else:
+        l = min(spec.mode, P - spec.mode)
+        if 2 * l == P:
+            cols, w = slice(P - 2, P - 1), np.array([float(P)])
+        else:
+            cols, w = slice(2 * l - 2, 2 * l), np.full(2, P / 2.0)
+    lam_1 = fourier_basis_eigenvalues(P)[cols]
+    W = np.stack([w, w**2, w**2 * lam_1, -0.5 * lam_1 * w], axis=1)
+    mu = np.zeros(P - 1)
+    mu[cols] = w
+    W.flags.writeable = mu.flags.writeable = False
+    return cols, W, mu
+
+
 def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = None) -> SurfaceFactors:
     """f, B_P, T, flux sum, sum-difference and link-form g_P of paths given
     by their fourier_mode_basis amplitudes (..., P - 1) and centroids
@@ -275,25 +306,18 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
         sum_difference = -sqrt(B_P) S / 4
         g_P            = (m P / 2 beta hbar) link.
 
-    Fourier-norm, mode n with 0 < n mod P, l = min(n, P - n): the mode
-    sums are (C, S_n) = sqrt(P/2) (a_l, b_l), or (sqrt(P) a_N, 0) at the
-    Nyquist mode, L = hypot(C, S_n), and
-
-        f = cos(phi) c + sqrt(2) sin(phi) L / P,    B_P = 1 / P,
-        S = 4 sin^2(phi) sin^2(pi l / P),
-        link = -2 sin^2(pi l / P) (sqrt(2) sin(phi) / P) L / sqrt(B_P);
-
-    at the Nyquist mode B_P = (cos^2 phi + 2 sin^2 phi) / P and
-    S = 8 sin^2(phi) / (P B_P).  Modes 0 and P have L = P |c| and a
-    gradient constant along the ring, so S = link = 0.
-
-    Quad-diff, offset n: with lambda_1 and lambda_n the column eigenvalues
-    of the offset-1 and offset-n ring Laplacians and A = amps^2, one
-    product A @ W gives D_n^2 = A lambda_n, |curv|^2 = A lambda_n^2,
-    sum_k (curv_{k+1} - curv_k)^2 = A lambda_n^2 lambda_1 and
-    sum_k (q_{k+1} - q_k) curv_k = -A lambda_1 lambda_n / 2, where
-    curv_k = 2 q_k - q_{k+n} - q_{k-n}.  With a = sin(phi) / (R D_n):
-    f = cos(phi) c + sin(phi) D_n / R, B_P = cos^2(phi) / P + a^2 |curv|^2.
+    Fourier-norm (0 < n mod P) and quad-diff surfaces share one form,
+    f = cos(phi) c + sin(phi) N / R, with R = ``norm_factor(P)`` and
+    N^2 = sum_j w_j a_j^2 over the columns and weights of ``_mode_weights``
+    (N = L_n or D_n).  The gradient of N is curv / N with
+    curv_k = sum_j w_j a_j B_kj (B = fourier_mode_basis(P)), and with
+    A = a[:, cols]^2 and lambda_1 the spring eigenvalues of those columns,
+    one product A @ W gives N^2 = A w, |curv|^2 = A w^2,
+    sum_k (curv_{k+1} - curv_k)^2 = A w^2 lambda_1 and
+    sum_k (q_{k+1} - q_k) curv_k = -A lambda_1 w / 2.  With
+    t1 = sin(phi) / (R N): B_P = cos^2(phi) / P + t1^2 |curv|^2 and
+    S = t1^2 sum_k (curv_{k+1} - curv_k)^2 / B_P.  Fourier-norm modes 0 and
+    P have L = P |c| and a gradient constant along the ring, so S = link = 0.
 
     The singular check is grad_f's, with |q|^2 = sum amps^2 + P c^2.
     """
@@ -317,38 +341,18 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
             t0 = (cos_phi + np.sqrt(2.0) * sin_phi * np.sign(c)) / P
             B = P * t0**2
             t1, S, link = 0.0, 0.0, 0.0
-        elif isinstance(spec, FourierNormSurface):
-            l = min(spec.mode, P - spec.mode)
-            mu = np.zeros(P - 1)
-            s2 = np.sin(np.pi * l / P) ** 2
-            if 2 * l == P:
-                L = np.sqrt(P) * np.abs(a[:, -1])
-                B = np.full(n, (cos_phi**2 + 2.0 * sin_phi**2) / P)
-                S = 8.0 * sin_phi**2 / (P * B)
-                mu[-1] = P
-            else:
-                L = np.sqrt(P / 2.0) * np.hypot(a[:, 2 * l - 2], a[:, 2 * l - 1])
-                B = np.full(n, 1.0 / P)
-                S = 4.0 * sin_phi**2 * s2
-                mu[2 * l - 2 : 2 * l] = P / 2.0
-            _raise_if_singular(L, a, c)
-            norm_term = np.sqrt(2.0) * sin_phi * L / P
-            # dL/dq_k = sum_j mu_j a_j B_kj / L
-            t1 = np.sqrt(2.0) * sin_phi / (P * L)
-            link = -2.0 * s2 * norm_term
         else:
-            lam_1 = fourier_basis_eigenvalues(P)
-            mu = fourier_basis_eigenvalues(P, spec.offset)
-            W = np.stack([mu, mu**2, mu**2 * lam_1, -0.5 * lam_1 * mu], axis=1)
-            D2, curv2, dcurv2, link = (a * a @ W).T
-            D = np.sqrt(D2)
-            _raise_if_singular(D, a, c)
+            cols, W, mu = _mode_weights(spec, P)
+            a_w = a[:, cols]
+            N2, curv2, dcurv2, link = (a_w * a_w @ W).T
+            N = np.sqrt(N2)
+            _raise_if_singular(N, a, c)
             R = spec.norm_factor(P)
-            t1 = sin_phi / (R * D)
+            t1 = sin_phi / (R * N)
             B = cos_phi**2 / P + t1**2 * curv2
             S = t1**2 * dcurv2 / B
             link = t1 * link
-            norm_term = sin_phi * D / R
+            norm_term = sin_phi * N / R
         f = cos_phi * c + norm_term
         if np.any(B == 0.0):
             raise SingularSurfaceError("gradient vanishes; T undefined")

@@ -98,7 +98,7 @@ def test_criterion_2_gp_sinusoidal_exponents():
     got = {}
     for sched, want, alpha in cases:
         got[sched.label] = (
-            gp_series(sched, 1.0, DEFAULT_P_SWEEP, PARAMS, alpha=alpha).fitted_exponent,
+            gp_series(sched, DEFAULT_P_SWEEP, PARAMS, alpha=alpha).fitted_exponent,
             want,
         )
     ok = all(abs(g - w) <= 0.05 for g, w in got.values())

@@ -18,7 +18,6 @@ from ringtst.paths import (
     fourier_mode_basis,
     free_ring_amplitudes,
     free_ring_mode_std,
-    free_ring_paths,
     map_free_ring_paths,
 )
 from ringtst.potentials import Eckart
@@ -68,7 +67,7 @@ def test_small_ensemble_runs_inline_and_bit_identical(monkeypatch):
         return q.sum(axis=-1), q[:, 0], block.amps[:, 0], block.centroid
 
     got = map_free_ring_paths(params, n, np.random.default_rng(3), per_path, centroid=c)
-    q = free_ring_paths(params, n, np.random.default_rng(3), centroid=c)
+    q = free_ring_amplitudes(params, n, np.random.default_rng(3)) @ fourier_mode_basis(8).T + c[:, None]
     assert np.array_equal(got[0], q.sum(axis=-1))
     assert np.array_equal(got[1], q[:, 0])
     assert np.array_equal(got[2], free_ring_amplitudes(params, n, np.random.default_rng(3))[:, 0])
@@ -89,7 +88,7 @@ def test_blocked_draw_keeps_the_stream(centroid):
 
     columns = map_free_ring_paths(params, n, rng_a, per_path, centroid=c)
     got = np.stack(columns[: POOLED["P"]], axis=1)
-    want = free_ring_paths(params, n, rng_b, centroid=c)
+    want = free_ring_amplitudes(params, n, rng_b) @ fourier_mode_basis(POOLED["P"]).T + np.reshape(c, (-1, 1))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # the amplitudes are the one draw's, bit for bit
     amps = np.stack(columns[POOLED["P"] :], axis=1)

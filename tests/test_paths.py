@@ -7,7 +7,7 @@ from ringtst.paths import (
     cyclic_shift,
     fourier_basis_eigenvalues,
     fourier_mode_basis,
-    free_ring_paths,
+    free_ring_amplitudes,
     sinusoidal_path,
 )
 
@@ -86,7 +86,7 @@ def test_mode_tables_match_loop_reference(P):
 def test_free_ring_paths_moments():
     params = ThermoParams(beta=3.0, bead_count=16)
     rng = np.random.default_rng(5)
-    q = free_ring_paths(params, 40000, rng)
+    q = free_ring_amplitudes(params, 40000, rng) @ fourier_mode_basis(16).T
     # links of the free ring polymer: total variance (P-1) eps hbar^2 / m
     links = q - np.roll(q, -1, axis=-1)
     var = np.var(links)
@@ -100,5 +100,5 @@ def test_free_ring_paths_centroid_array():
     params = ThermoParams(bead_count=8)
     rng = np.random.default_rng(1)
     c = np.array([0.5, -1.0, 2.0])
-    q = free_ring_paths(params, 3, rng, centroid=c)
+    q = free_ring_amplitudes(params, 3, rng) @ fourier_mode_basis(8).T + c[:, None]
     assert np.mean(q, axis=-1) == pytest.approx(c, abs=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ringtst.params import ThermoParams
-from ringtst.paths import cyclic_shift, free_ring_paths
+from ringtst.paths import cyclic_shift, fourier_mode_basis, free_ring_amplitudes
 from ringtst.potentials import Eckart, FreeParticle, Harmonic
 from ringtst.rates import (
     OVERFLOW_GUARD,
@@ -43,7 +43,7 @@ def test_window_reduction_matches_per_width_polyfit():
     rng = np.random.default_rng(seed)
     sigma_c = params.hbar * np.sqrt(params.beta / params.mass)
     c = d + sigma_c * rng.standard_normal(n)
-    q = free_ring_paths(params, n, rng, centroid=c)
+    q = free_ring_amplitudes(params, n, rng) @ fourier_mode_basis(8).T + c[:, None]
     log_pi_c = -0.5 * ((c - d) / sigma_c) ** 2 - np.log(sigma_c * np.sqrt(2 * np.pi))
     log_base = (
         0.5 * np.log(params.mass / (2.0 * np.pi * params.beta * params.hbar**2))
@@ -91,6 +91,35 @@ def test_free_particle_mc_oracle():
     assert rep.kza_rpmd == pytest.approx(TWO_PI_INV, rel=0.01)
     assert rep.kza_ha == pytest.approx(TWO_PI_INV, rel=0.01)
     assert not rep.divergence_flag
+
+
+def exact_free_fourier_norm(P, n, phi):
+    """Free-particle kZ_rpmd and kZ_ha on FourierNormSurface(n, phi) with
+    0 < n <= P/2, beta = m = hbar = 1, in closed form: the flux factors
+    depend on the path only through the radius of mode n, whose free-ring
+    distribution is known.  For n < P/2, with S_n = sin^2(pi n / P),
+    kZ_rpmd = 1/(2 pi |cos phi|) and
+    kZ_ha / kZ_rpmd = (1 - sin^2 phi S_n) / (1 - sin^2 phi S_n / 4); at the
+    Nyquist mode, with b = cos^2 phi + 2 sin^2 phi,
+    kZ_rpmd = sqrt(b) / (2 pi |cos phi|) and
+    kZ_ha = (cos^2 phi / sqrt(b)) (1 - sin^2 phi / (2 b))^(-1/2) / (2 pi |cos phi|)."""
+    c2, s2 = np.cos(phi) ** 2, np.sin(phi) ** 2
+    unit = 1.0 / (2.0 * np.pi * abs(np.cos(phi)))
+    if 2 * n == P:
+        b = c2 + 2.0 * s2
+        return np.sqrt(b) * unit, c2 / np.sqrt(b) * (1.0 - s2 / (2.0 * b)) ** -0.5 * unit
+    S = np.sin(np.pi * n / P) ** 2
+    return unit, unit * (1.0 - s2 * S) / (1.0 - s2 * S / 4.0)
+
+
+@pytest.mark.parametrize("P, mode", [(64, 2), (64, 8), (64, 32), (256, 16)])
+def test_free_particle_fourier_norm_exact(P, mode):
+    spec = FourierNormSurface(mode=mode, phi=np.pi / 4)
+    rep = rate_estimates(FreeParticle(), spec, 0.0, ThermoParams(bead_count=P), n_samples=20_000, seed=0)
+    kr, kh = exact_free_fourier_norm(P, mode, spec.phi)
+    assert abs(rep.kza_rpmd - kr) < 4.0 * rep.kza_rpmd_err
+    assert abs(rep.kza_ha - kh) < 4.0 * rep.kza_ha_err
+    assert abs(rep.ratio_ha_over_rpmd - kh / kr) < 4.0 * rep.ratio_err
 
 
 def test_free_particle_d_independent():

@@ -89,12 +89,12 @@ def test_gp_exponents_sinusoidal():
         (ModeSchedule.frac_p(0.25), 1.5, 0.0),
     ]
     for sched, want, alpha in cases:
-        s = gp_series(sched, 1.0, DEFAULT_P_SWEEP, PARAMS, alpha=alpha)
+        s = gp_series(sched, DEFAULT_P_SWEEP, PARAMS, alpha=alpha)
         assert abs(s.fitted_exponent - want) < 0.05
 
 
 def test_gp_half_schedule_spot_value():
-    s = gp_series(ModeSchedule.frac_p(0.5), 1.0, [16, 32], PARAMS, alpha=np.pi / 4)
+    s = gp_series(ModeSchedule.frac_p(0.5), [16, 32], PARAMS, alpha=np.pi / 4)
     assert s.points[0] == (16, pytest.approx(64.0, abs=1e-10))
 
 
