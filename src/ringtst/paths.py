@@ -6,21 +6,23 @@ cyclic wrap-around (index P is bead 0 again).
 The exact free ring-polymer sampler draws the P - 1 fluctuation amplitudes
 of ``fourier_mode_basis`` as scaled normals (``free_ring_amplitudes``); a
 ``ModeBlock`` holds them with the centroids, and builds the real-space
-paths only when a caller asks for them.  Up to INLINE_ELEMS path elements
-(8 MB), ``map_free_ring_paths`` hands the whole ensemble over in one block,
-whose paths are one dense matmul.  Larger ensembles come in blocks: the
-calling thread draws the normals block by block, in stream order, and a
-thread pool reduces each block to per-path values, building its paths, if
-asked, with ``np.fft.irfft``, so the whole ensemble is never held at once.
-Block boundaries are fixed by BLOCK_ELEMS, so the results do not depend on
-the number of cores.  ``mode_amplitudes`` is the inverse map, from
-real-space paths back to their amplitudes and centroids.
+paths only when a caller asks for them.  ``map_free_ring_paths`` hands an
+ensemble of fewer than POOL_MIN_BEADS beads, or of at most BLOCK_ELEMS
+path elements (1 MB), over in one block drawn in the calling thread, whose
+paths are one dense matmul.  Larger ensembles run on a thread pool in
+blocks of BLOCK_ELEMS elements: each block draws its own normals in its
+worker, from its own child of the caller's generator (``rng.spawn``), and
+reduces them to per-path values, building its paths, if asked, with
+``np.fft.irfft``, so the whole ensemble is never held at once.  Block
+boundaries are fixed by BLOCK_ELEMS and each child is tied to a block
+index, so the results do not depend on the number of cores.
+``mode_amplitudes`` is the inverse map, from real-space paths back to
+their amplitudes and centroids.
 """
 from __future__ import annotations
 
 import functools
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +34,11 @@ from .params import ThermoParams
 # the same blocks.
 BLOCK_ELEMS = 1 << 17
 
-# Ensembles of at most this many elements (8 MB of paths) are drawn whole
-# and evaluated in the calling thread; at small P the dense draw is
-# cheaper than irfft, and pool threads would add a malloc arena each.
-INLINE_ELEMS = 1 << 20
+# Ensembles of fewer beads than this are drawn whole and evaluated in the
+# calling thread at any size: at small P the dense draw is cheaper than
+# irfft and the pool's hand-off (pooling the P = 3, n = 200k ensemble made
+# the whole estimate about 8 % slower).
+POOL_MIN_BEADS = 16
 
 
 def cyclic_shift(path: np.ndarray, shift: int) -> np.ndarray:
@@ -206,46 +209,41 @@ def map_free_ring_paths(
 ) -> tuple[np.ndarray, ...]:
     """per_path applied to free ring-polymer paths around the given
     centroid (scalar or per-sample array, which the free weight does not
-    constrain): the same draw as ``free_ring_amplitudes(params, n_samples,
-    rng)``.
+    constrain).
 
     per_path maps a ModeBlock of rows paths to a tuple of 1-D arrays of
     length rows; the result is each of those arrays over all n_samples
-    paths, in draw order.  Up to INLINE_ELEMS elements the whole ensemble
-    is one block, ``free_ring_amplitudes`` in the calling thread.  Above,
-    the paths come in blocks of BLOCK_ELEMS elements: the calling thread
-    draws each block's normals in stream order (the same numbers as one
-    draw), and a pool worker scales them to amplitudes and applies
-    per_path.  At most two blocks per core are in flight.  An exception
-    raised by per_path reaches the caller.
+    paths, in draw order.  Below POOL_MIN_BEADS beads, or when the
+    ensemble fits in one block of BLOCK_ELEMS elements, it is one block,
+    ``free_ring_amplitudes(params, n_samples, rng)`` in the calling thread.
+    Otherwise block i holds BLOCK_ELEMS // P paths (the last one the rest)
+    and runs on the pool: its worker draws the normals from ``rng.spawn(n_blocks)[i]``,
+    scales them by ``free_ring_mode_std`` and applies per_path.  The
+    caller's own stream is not advanced.  An exception raised by per_path
+    reaches the caller.
     """
     P = params.bead_count
     centroid = np.asarray(centroid, dtype=float)
-    if n_samples * P <= INLINE_ELEMS:
+    rows = max(1, BLOCK_ELEMS // P)
+    if P < POOL_MIN_BEADS or n_samples <= rows:
         return tuple(per_path(ModeBlock(free_ring_amplitudes(params, n_samples, rng), centroid)))
     from concurrent.futures import wait
 
     std = free_ring_mode_std(params)
-    rows = max(1, BLOCK_ELEMS // P)
-    pool, limit = _pool(), 2 * _usable_cores()
 
-    def block(z, c):
+    def block(child, lo):
+        hi = min(lo + rows, n_samples)
+        z = child.standard_normal((hi - lo, P - 1))
         z *= std
-        return tuple(per_path(ModeBlock(z, c, pooled=True)))
+        return tuple(per_path(ModeBlock(z, centroid if centroid.ndim == 0 else centroid[lo:hi], pooled=True)))
 
-    pending, parts = deque(), []
+    starts = range(0, n_samples, rows)
+    futures = [_pool().submit(block, child, lo) for child, lo in zip(rng.spawn(len(starts)), starts)]
     try:
-        for lo in range(0, n_samples, rows):
-            hi = min(lo + rows, n_samples)
-            if len(pending) == limit:
-                parts.append(pending.popleft().result())
-            z = rng.standard_normal((hi - lo, P - 1))
-            pending.append(pool.submit(block, z, centroid if centroid.ndim == 0 else centroid[lo:hi]))
-        while pending:
-            parts.append(pending.popleft().result())
+        parts = [f.result() for f in futures]
     finally:
         # after an error: drop the blocks not started, finish the running ones
-        for f in pending:
+        for f in futures:
             f.cancel()
-        wait(pending)
+        wait(futures)
     return tuple(np.concatenate(cols) for cols in zip(*parts))

@@ -16,9 +16,10 @@ neither calls ``f_eval`` or ``grad_f``.
 Monte-Carlo backend: exact normal-mode sampling of the free ring polymer
 with the centroid drawn from a Gaussian proposal, re-weighted by the
 potential factor; real-space paths are built for the potential sum alone.
-Above 8 MB of paths the ensemble is drawn and evaluated in fixed blocks on
-a thread pool (``paths.map_free_ring_paths``), with results independent of
-the core count.  The delta constraint is realized by Gaussian windows of
+From 16 beads on, an ensemble larger than one block is drawn and evaluated
+in fixed blocks on a thread pool, each block drawing its own normals
+(``paths.map_free_ring_paths``), with results independent of the core
+count.  The delta constraint is realized by Gaussian windows of
 three fixed widths with linear extrapolation to zero width.
 
 Grid oracle, P <= 4: a midpoint-rule quadrature over the P - 1 fluctuation
@@ -33,7 +34,7 @@ import numpy as np
 
 from .density import log_rho_ring
 from .params import ThermoParams
-from .paths import fourier_mode_basis, free_ring_amplitudes, free_ring_mode_std, map_free_ring_paths
+from .paths import fourier_mode_basis, free_ring_mode_std, map_free_ring_paths
 from .potentials import Potential
 from .surfaces import CentroidSurface, FourierNormSurface, Surface, SurfaceFactors, mode_factors, surface_factors
 
@@ -279,6 +280,32 @@ def grid_oracle_rate(pot: Potential, spec: Surface, d: float, params: ThermoPara
     return {key: float(v) for key, v in fine.items()}
 
 
+def free_ring_mean_f(spec: FourierNormSurface, params: ThermoParams) -> float:
+    """Mean of f over free ring polymers at centroid 0, in closed form.
+
+    f = sin(phi) L_n / R with R = P / sqrt(2).  With l = min(n, P - n) and
+    sigma_l = ``free_ring_mode_std`` of mode l, L_n is sqrt(P / 2) times the
+    norm of the two mode-l amplitudes, a Rayleigh variable of mean
+    sigma_l sqrt(pi / 2); at the Nyquist mode l = P / 2 it is sqrt(P) |a_N|,
+    a half-normal of mean sigma_N sqrt(2 / pi).  Modes 0 and P are
+    rejected: there L_n = P |c| depends on the centroid.
+    """
+    P = params.bead_count
+    n = spec.mode % P
+    if n == 0:
+        raise ValueError(
+            f"the free-ring mean of f needs a centroid-independent surface: Fourier-norm mode "
+            f"{spec.mode} at P = {P} has L_n = P |c|, which depends on the centroid"
+        )
+    l = min(n, P - n)
+    sigma = free_ring_mode_std(params)
+    if 2 * l == P:
+        mean_norm = np.sqrt(P) * sigma[-1] * np.sqrt(2.0 / np.pi)
+    else:
+        mean_norm = np.sqrt(P / 2.0) * sigma[2 * l - 2] * np.sqrt(np.pi / 2.0)
+    return float(np.sin(spec.phi) * mean_norm / spec.norm_factor(P))
+
+
 def ratio_sweep(
     pot: Potential,
     schedule,
@@ -289,14 +316,14 @@ def ratio_sweep(
 ) -> list[dict]:
     """Table of (P, ratio, error, divergence_flag) for the Fourier-norm
     surface family at phi = SWEEP_PHI with mode n(P) from the schedule;
-    each window is centered on the mean of f over 2,000 free ring polymers
-    (centroid 0), taken from their amplitudes with no real-space path."""
+    each window is centered on the mean of f over free ring polymers at
+    centroid 0, in closed form (``free_ring_mean_f``), so no path is
+    drawn for it.  A schedule that gives mode P raises ValueError."""
     rows = []
     for i, P in enumerate(P_list):
         pp = params.with_beads(P)
         spec = FourierNormSurface(mode=schedule.mode(P), phi=SWEEP_PHI)
-        rng = np.random.default_rng(seed + 7919 * i)
-        d = float(np.mean(mode_factors(spec, free_ring_amplitudes(pp, 2000, rng), 0.0).f))
+        d = free_ring_mean_f(spec, pp)
         rep = rate_estimates(pot, spec, d, pp, n_samples=n_samples, seed=seed + 7919 * i)
         rows.append(
             {

@@ -1,6 +1,7 @@
 """The blocked, pooled evaluation of large free ring-polymer ensembles:
-the irfft transform and its rfft inverse, the random stream, independence
-of the worker count, agreement with the dense draw, and errors raised
+the irfft transform and its rfft inverse, which ensembles stay in the
+calling thread, the per-block random streams, independence of the worker
+count, agreement with dense paths on the same normals, and errors raised
 inside a worker."""
 import dataclasses
 import sys
@@ -25,7 +26,8 @@ from ringtst.rates import rate_estimates
 from ringtst.scaling import quaddiff_orders
 from ringtst.surfaces import FourierNormSurface, QuadDiffSurface, SingularSurfaceError
 
-# n * P above paths.INLINE_ELEMS: this ensemble runs on the pool
+# P >= paths.POOL_MIN_BEADS and n * P above paths.BLOCK_ELEMS: this ensemble
+# runs on the pool, in 10 blocks
 POOLED = dict(P=256, n=5_000)
 
 
@@ -52,49 +54,103 @@ def test_irfft_block_matches_mode_basis(P, rows, beta, centroid, seed):
     assert np.max(np.abs(c_back - np.ravel(c))) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_small_ensemble_runs_inline_and_bit_identical(monkeypatch):
+def _forbid_pool(monkeypatch):
     def no_pool():
-        raise AssertionError("a small ensemble reached the pool")
+        raise AssertionError("an inline ensemble reached the pool")
 
     monkeypatch.setattr(paths, "_pool", no_pool)
-    params = ThermoParams(bead_count=8)
-    n = paths.INLINE_ELEMS // 8
+
+
+def _assert_inline_and_bit_identical(P, n):
+    params = ThermoParams(bead_count=P)
     c = np.linspace(-1.0, 1.0, n)
 
     def per_path(block):
-        assert not block.pooled and block.amps.shape == (n, 7)
+        assert not block.pooled and block.amps.shape == (n, P - 1)
         q = block.paths()
         return q.sum(axis=-1), q[:, 0], block.amps[:, 0], block.centroid
 
     got = map_free_ring_paths(params, n, np.random.default_rng(3), per_path, centroid=c)
-    q = free_ring_amplitudes(params, n, np.random.default_rng(3)) @ fourier_mode_basis(8).T + c[:, None]
+    q = free_ring_amplitudes(params, n, np.random.default_rng(3)) @ fourier_mode_basis(P).T + c[:, None]
     assert np.array_equal(got[0], q.sum(axis=-1))
     assert np.array_equal(got[1], q[:, 0])
     assert np.array_equal(got[2], free_ring_amplitudes(params, n, np.random.default_rng(3))[:, 0])
     assert np.array_equal(got[3], c)
 
 
+def test_small_ensemble_runs_inline_and_bit_identical(monkeypatch):
+    """An ensemble of POOL_MIN_BEADS or more beads that fits in one block
+    is one draw in the calling thread."""
+    _forbid_pool(monkeypatch)
+    P = paths.POOL_MIN_BEADS
+    _assert_inline_and_bit_identical(P, paths.BLOCK_ELEMS // P)
+
+
+def test_few_bead_ensemble_never_reaches_the_pool(monkeypatch):
+    """Below POOL_MIN_BEADS an ensemble stays inline at any size, here P = 8
+    above 2^20 path elements, bit-identical to free_ring_amplitudes."""
+    _forbid_pool(monkeypatch)
+    n = (1 << 20) // 8 + 1000
+    assert 8 < paths.POOL_MIN_BEADS and n * 8 > 1 << 20
+    _assert_inline_and_bit_identical(8, n)
+
+
+def test_two_block_ensemble_reaches_the_pool(monkeypatch):
+    """From POOL_MIN_BEADS on, an ensemble one row larger than a block is
+    two pooled blocks."""
+    P = paths.POOL_MIN_BEADS
+    rows = paths.BLOCK_ELEMS // P
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    pool = CountingPool(max_workers=2)
+    monkeypatch.setattr(paths, "_pool", lambda: pool)
+
+    def per_path(block):
+        assert block.pooled
+        return (np.full(len(block.amps), len(block.amps)),)
+
+    try:
+        (sizes,) = map_free_ring_paths(ThermoParams(bead_count=P), rows + 1, np.random.default_rng(0), per_path)
+    finally:
+        pool.shutdown()
+    assert len(submitted) == 2
+    assert np.array_equal(sizes, np.r_[np.full(rows, rows), [1]])
+
+
 @pytest.mark.parametrize("centroid", ["scalar", "per-sample"])
 def test_blocked_draw_keeps_the_stream(centroid):
-    params = ThermoParams(beta=2.0, bead_count=POOLED["P"])
-    n = POOLED["n"]
-    assert n * POOLED["P"] > paths.INLINE_ELEMS
+    """Pooled block i holds the normals of child i of rng.spawn(n_blocks),
+    bit for bit, times free_ring_mode_std; its paths are the dense
+    mode-basis paths of those amplitudes, and the caller's own stream is
+    not advanced."""
+    P, n = POOLED["P"], POOLED["n"]
+    params = ThermoParams(beta=2.0, bead_count=P)
+    rows = paths.BLOCK_ELEMS // P
+    n_blocks = -(-n // rows)
+    assert n_blocks > 1
     c = 0.4 if centroid == "scalar" else np.linspace(-2.0, 2.0, n)
-    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+    rng = np.random.default_rng(9)
 
     def per_path(block):
         assert block.pooled
         return (*block.paths().T, *block.amps.T)
 
-    columns = map_free_ring_paths(params, n, rng_a, per_path, centroid=c)
-    got = np.stack(columns[: POOLED["P"]], axis=1)
-    want = free_ring_amplitudes(params, n, rng_b) @ fourier_mode_basis(POOLED["P"]).T + np.reshape(c, (-1, 1))
+    columns = map_free_ring_paths(params, n, rng, per_path, centroid=c)
+    children = np.random.default_rng(9).spawn(n_blocks)
+    want_amps = np.concatenate(
+        [child.standard_normal((min(rows, n - i * rows), P - 1)) for i, child in enumerate(children)]
+    ) * free_ring_mode_std(params)
+    amps = np.stack(columns[P:], axis=1)
+    assert np.array_equal(amps, want_amps)
+    got = np.stack(columns[:P], axis=1)
+    want = want_amps @ fourier_mode_basis(P).T + np.reshape(c, (-1, 1))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    # the amplitudes are the one draw's, bit for bit
-    amps = np.stack(columns[POOLED["P"] :], axis=1)
-    assert np.array_equal(amps, free_ring_amplitudes(params, n, np.random.default_rng(9)))
-    # the same number of normals was consumed
-    assert rng_a.random() == rng_b.random()
+    assert rng.random() == np.random.default_rng(9).random()
 
 
 @pytest.mark.parametrize("workers", [1, 5])
@@ -125,14 +181,24 @@ def test_results_independent_of_worker_count(monkeypatch, workers):
     "spec", [FourierNormSurface(mode=2, phi=0.5), QuadDiffSurface(offset=3, phi=0.7)], ids=["fourier", "quaddiff"]
 )
 def test_pooled_matches_dense_draw(monkeypatch, spec):
+    """The pooled irfft paths against dense mode-basis paths of the same
+    normals, through the whole estimator."""
     params = ThermoParams(bead_count=POOLED["P"])
+    basis = fourier_mode_basis(POOLED["P"])
+    dense_blocks = []
+
+    def dense_paths(amps, centroid):
+        dense_blocks.append(len(amps))
+        return amps @ basis.T + centroid
 
     def estimate():
         return rate_estimates(Eckart(), spec, 0.0, params, n_samples=POOLED["n"], seed=6, n_batches=25)
 
     pooled = estimate()
-    monkeypatch.setattr(paths, "INLINE_ELEMS", 1 << 40)
+    monkeypatch.setattr(paths, "_irfft_paths", dense_paths)
     dense = estimate()
+    # every block was pooled, and its paths were the dense ones
+    assert sum(dense_blocks) == POOLED["n"] and len(dense_blocks) > 1
     for key in ("kza_rpmd", "kza_ha", "ratio_ha_over_rpmd"):
         assert getattr(pooled, key) == pytest.approx(getattr(dense, key), rel=1e-12, abs=0.0)
     for key in ("kza_rpmd_err", "kza_ha_err", "ratio_err"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ringtst import rates
 from ringtst.params import ThermoParams
 from ringtst.paths import cyclic_shift, fourier_mode_basis, free_ring_amplitudes
 from ringtst.potentials import Eckart, FreeParticle, Harmonic
@@ -9,13 +10,14 @@ from ringtst.rates import (
     divergence_probe,
     eta0_factor_closed,
     eta0_factor_quadrature,
+    free_ring_mean_f,
     grid_oracle_rate,
     integrand_factors,
     rate_estimates,
     ratio_sweep,
 )
 from ringtst.scaling import ModeSchedule
-from ringtst.surfaces import CentroidSurface, FourierNormSurface, QuadDiffSurface, f_eval, surface_factors
+from ringtst.surfaces import CentroidSurface, FourierNormSurface, QuadDiffSurface, f_eval, mode_factors, surface_factors
 
 TWO_PI_INV = 1.0 / (2.0 * np.pi)
 
@@ -228,6 +230,39 @@ def test_ratio_sweep_constant_schedule_tends_to_one():
     )
     assert not any(r["divergence_flag"] for r in rows)
     assert rows[-1]["ratio"] == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("P, mode", [(8, 3), (16, 4), (16, 8), (17, 12), (64, 40), (256, 128)])
+def test_free_ring_mean_f_matches_sampled_mean(P, mode):
+    """The closed-form mean of f at centroid 0 (Rayleigh mean of the mode
+    norm, half-normal at the Nyquist mode) against 200k drawn paths."""
+    params = ThermoParams(beta=1.7, bead_count=P)
+    spec = FourierNormSurface(mode=mode, phi=0.6)
+    f = mode_factors(spec, free_ring_amplitudes(params, 200_000, np.random.default_rng(P + mode)), 0.0).f
+    z = (np.mean(f) - free_ring_mean_f(spec, params)) / (np.std(f) / np.sqrt(f.size))
+    assert abs(z) < 4.0
+
+
+def test_ratio_sweep_draws_no_pilot(monkeypatch):
+    """Each window is centred on the closed-form mean of f: the one draw per
+    bead count is the estimator's own."""
+    calls, mode_rows = [], []
+
+    def logged(pot, spec, d, params, **kwargs):
+        calls.append((spec, d, params))
+        return rate_estimates(pot, spec, d, params, **kwargs)
+
+    def counted(spec, amps, centroid, params=None):
+        mode_rows.append(len(amps))
+        return mode_factors(spec, amps, centroid, params)
+
+    monkeypatch.setattr(rates, "rate_estimates", logged)
+    monkeypatch.setattr(rates, "mode_factors", counted)
+    ratio_sweep(Harmonic(omega=1.0), ModeSchedule.sqrt_p(), [16, 64], ThermoParams(), n_samples=2000, seed=1)
+    assert [d for _, d, _ in calls] == [free_ring_mean_f(spec, pp) for spec, _, pp in calls]
+    assert mode_rows == [2000, 2000]
+    with pytest.raises(ValueError, match="Fourier-norm mode 16 at P = 16"):
+        ratio_sweep(Harmonic(omega=1.0), ModeSchedule.frac_p(1.0), [16], ThermoParams(), n_samples=2000)
 
 
 def test_divergence_probe_flags_by_64():

@@ -310,7 +310,7 @@ def test_rate_estimates_one_gradient_per_path(grad_rows, mode_rows, f_calls):
     spec = FourierNormSurface(mode=2, phi=0.5)
     rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=16), n_samples=2000, seed=1)
     assert mode_rows == [2000]
-    # n P above paths.INLINE_ELEMS: blocks evaluated on the worker pool
+    # n P above paths.BLOCK_ELEMS at P >= POOL_MIN_BEADS: blocks evaluated on the worker pool
     mode_rows.clear()
     rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=256), n_samples=5000, seed=1)
     assert sum(mode_rows) == 5000 and len(mode_rows) == -(-5000 // (BLOCK_ELEMS // 256))
@@ -331,7 +331,7 @@ def test_quaddiff_orders_one_gradient_per_path(grad_rows, mode_rows, monkeypatch
         monkeypatch.setattr(module, "mode_amplitudes", forbidden)
     quaddiff_orders("half", P_list=(16, 32, 64), n_paths=500, seed=3)
     assert mode_rows == [500, 500, 500]
-    # n P above paths.INLINE_ELEMS: pooled blocks
+    # n P above paths.BLOCK_ELEMS at P >= POOL_MIN_BEADS: pooled blocks
     mode_rows.clear()
     quaddiff_orders("one", P_list=(128, 256), n_paths=5000, seed=3)
     assert sum(mode_rows) == 2 * 5000
