@@ -7,10 +7,11 @@ The exact free ring-polymer sampler draws the P - 1 fluctuation amplitudes
 of ``fourier_mode_basis`` as scaled normals (``free_ring_amplitudes``); a
 ``ModeBlock`` holds them with the centroids, and builds the real-space
 paths only when a caller asks for them.  ``map_free_ring_paths`` hands an
-ensemble of fewer than POOL_MIN_BEADS beads, or of at most BLOCK_ELEMS
-path elements (1 MB), over in one block drawn in the calling thread, whose
-paths are one dense matmul.  Larger ensembles run on a thread pool in
-blocks of BLOCK_ELEMS elements: each block draws its own normals in its
+ensemble of at most BLOCK_ELEMS path elements (1 MB), or of fewer than
+POOL_MIN_BEADS beads and at most INLINE_ELEMS elements (8 MB), over in one
+block drawn in the calling thread, whose paths are one dense matmul.
+Larger ensembles run on a thread pool in blocks of BLOCK_ELEMS elements:
+each block draws its own normals in its
 worker, from its own child of the caller's generator (``rng.spawn``), and
 reduces them to per-path values, building its paths, if asked, with
 ``np.fft.irfft``, so the whole ensemble is never held at once.  Block
@@ -34,11 +35,13 @@ from .params import ThermoParams
 # the same blocks.
 BLOCK_ELEMS = 1 << 17
 
-# Ensembles of fewer beads than this are drawn whole and evaluated in the
-# calling thread at any size: at small P the dense draw is cheaper than
-# irfft and the pool's hand-off (pooling the P = 3, n = 200k ensemble made
-# the whole estimate about 8 % slower).
+# Ensembles of fewer beads than POOL_MIN_BEADS and at most INLINE_ELEMS
+# elements (8 MB of paths) are drawn whole and evaluated in the calling
+# thread: pooling the P = 3, n = 200k ensemble (600k elements) made its
+# estimate about 8 % slower.  Above INLINE_ELEMS they are pooled, which
+# keeps the memory of an ensemble bounded by its blocks.
 POOL_MIN_BEADS = 16
+INLINE_ELEMS = 1 << 20
 
 
 def cyclic_shift(path: np.ndarray, shift: int) -> np.ndarray:
@@ -213,19 +216,21 @@ def map_free_ring_paths(
 
     per_path maps a ModeBlock of rows paths to a tuple of 1-D arrays of
     length rows; the result is each of those arrays over all n_samples
-    paths, in draw order.  Below POOL_MIN_BEADS beads, or when the
-    ensemble fits in one block of BLOCK_ELEMS elements, it is one block,
+    paths, in draw order.  When the ensemble fits in one block of
+    BLOCK_ELEMS elements, or has fewer than POOL_MIN_BEADS beads and at
+    most INLINE_ELEMS elements, it is one block,
     ``free_ring_amplitudes(params, n_samples, rng)`` in the calling thread.
     Otherwise block i holds BLOCK_ELEMS // P paths (the last one the rest)
-    and runs on the pool: its worker draws the normals from ``rng.spawn(n_blocks)[i]``,
-    scales them by ``free_ring_mode_std`` and applies per_path.  The
+    and runs on the pool: its worker draws the normals from
+    ``rng.spawn(n_blocks)[i]``, scales them by ``free_ring_mode_std`` and
+    applies per_path.  The
     caller's own stream is not advanced.  An exception raised by per_path
     reaches the caller.
     """
     P = params.bead_count
     centroid = np.asarray(centroid, dtype=float)
     rows = max(1, BLOCK_ELEMS // P)
-    if P < POOL_MIN_BEADS or n_samples <= rows:
+    if n_samples <= rows or (P < POOL_MIN_BEADS and n_samples * P <= INLINE_ELEMS):
         return tuple(per_path(ModeBlock(free_ring_amplitudes(params, n_samples, rng), centroid)))
     from concurrent.futures import wait
 

@@ -16,10 +16,10 @@ neither calls ``f_eval`` or ``grad_f``.
 Monte-Carlo backend: exact normal-mode sampling of the free ring polymer
 with the centroid drawn from a Gaussian proposal, re-weighted by the
 potential factor; real-space paths are built for the potential sum alone.
-From 16 beads on, an ensemble larger than one block is drawn and evaluated
-in fixed blocks on a thread pool, each block drawing its own normals
-(``paths.map_free_ring_paths``), with results independent of the core
-count.  The delta constraint is realized by Gaussian windows of
+An ensemble larger than one block (from 16 beads on) or than 8 MB of paths
+(below) is drawn and evaluated in fixed blocks on a thread pool, each block
+drawing its own normals (``paths.map_free_ring_paths``), with results
+independent of the core count.  The delta constraint is realized by Gaussian windows of
 three fixed widths with linear extrapolation to zero width.
 
 Grid oracle, P <= 4: a midpoint-rule quadrature over the P - 1 fluctuation
@@ -36,7 +36,16 @@ from .density import log_rho_ring
 from .params import ThermoParams
 from .paths import fourier_mode_basis, free_ring_mode_std, map_free_ring_paths
 from .potentials import Potential
-from .surfaces import CentroidSurface, FourierNormSurface, Surface, SurfaceFactors, mode_factors, surface_factors
+from .surfaces import (
+    CentroidSurface,
+    FourierNormSurface,
+    Surface,
+    SurfaceFactors,
+    _check_order,
+    _mode_weights,
+    mode_factors,
+    surface_factors,
+)
 
 # log-weight bound beyond which the harmonic-analysis factor counts as
 # divergent at this bead count
@@ -283,27 +292,25 @@ def grid_oracle_rate(pot: Potential, spec: Surface, d: float, params: ThermoPara
 def free_ring_mean_f(spec: FourierNormSurface, params: ThermoParams) -> float:
     """Mean of f over free ring polymers at centroid 0, in closed form.
 
-    f = sin(phi) L_n / R with R = P / sqrt(2).  With l = min(n, P - n) and
-    sigma_l = ``free_ring_mode_std`` of mode l, L_n is sqrt(P / 2) times the
-    norm of the two mode-l amplitudes, a Rayleigh variable of mean
-    sigma_l sqrt(pi / 2); at the Nyquist mode l = P / 2 it is sqrt(P) |a_N|,
-    a half-normal of mean sigma_N sqrt(2 / pi).  Modes 0 and P are
-    rejected: there L_n = P |c| depends on the centroid.
+    f = sin(phi) L_n / R with R = P / sqrt(2) and L_n^2 = sum_j w_j a_j^2
+    over the columns and weights of ``surfaces._mode_weights``, whose
+    amplitudes a_j have the standard deviation sigma of
+    ``free_ring_mode_std``: over a (cos, sin) pair L_n / sqrt(w) is a
+    Rayleigh variable of mean sigma sqrt(pi / 2), on the Nyquist column a
+    half-normal of mean sigma sqrt(2 / pi).  Modes 0 and P are rejected:
+    there L_n = P |c| depends on the centroid.
     """
     P = params.bead_count
-    n = spec.mode % P
-    if n == 0:
+    _check_order(spec, P)
+    if spec.mode % P == 0:
         raise ValueError(
             f"the free-ring mean of f needs a centroid-independent surface: Fourier-norm mode "
             f"{spec.mode} at P = {P} has L_n = P |c|, which depends on the centroid"
         )
-    l = min(n, P - n)
-    sigma = free_ring_mode_std(params)
-    if 2 * l == P:
-        mean_norm = np.sqrt(P) * sigma[-1] * np.sqrt(2.0 / np.pi)
-    else:
-        mean_norm = np.sqrt(P / 2.0) * sigma[2 * l - 2] * np.sqrt(np.pi / 2.0)
-    return float(np.sin(spec.phi) * mean_norm / spec.norm_factor(P))
+    cols, W, _ = _mode_weights(spec, P)
+    sigma = free_ring_mode_std(params)[cols][0]
+    shape = np.sqrt(np.pi / 2.0) if W.shape[0] == 2 else np.sqrt(2.0 / np.pi)
+    return float(np.sin(spec.phi) * np.sqrt(W[0, 0]) * sigma * shape / spec.norm_factor(P))
 
 
 def ratio_sweep(

@@ -4,9 +4,9 @@ Deterministic series evaluate single-mode sinusoidal paths against a
 Fourier-norm surface with a matching mode; stochastic series average over
 thermal free-particle paths against the quadratic-difference surface,
 reduced block by block through ``paths.map_free_ring_paths`` (on the
-worker pool, each block drawing its own normals, when the ensemble has 16
-beads or more and spans more than one block) from the drawn Fourier-mode amplitudes, with no
-real-space path.
+worker pool, each block drawing its own normals, when the ensemble spans
+more than one block at 16 beads or more, or exceeds 8 MB of paths below)
+from the drawn Fourier-mode amplitudes, with no real-space path.
 """
 from __future__ import annotations
 

@@ -86,19 +86,25 @@ def test_small_ensemble_runs_inline_and_bit_identical(monkeypatch):
     _assert_inline_and_bit_identical(P, paths.BLOCK_ELEMS // P)
 
 
-def test_few_bead_ensemble_never_reaches_the_pool(monkeypatch):
-    """Below POOL_MIN_BEADS an ensemble stays inline at any size, here P = 8
-    above 2^20 path elements, bit-identical to free_ring_amplitudes."""
+def test_few_bead_ensemble_stays_inline_up_to_the_limit(monkeypatch):
+    """Below POOL_MIN_BEADS an ensemble of up to INLINE_ELEMS elements is
+    one draw in the calling thread, here P = 8 at the limit, eight blocks'
+    worth, bit-identical to free_ring_amplitudes."""
     _forbid_pool(monkeypatch)
-    n = (1 << 20) // 8 + 1000
-    assert 8 < paths.POOL_MIN_BEADS and n * 8 > 1 << 20
+    n = paths.INLINE_ELEMS // 8
+    assert 8 < paths.POOL_MIN_BEADS and n > paths.BLOCK_ELEMS // 8
     _assert_inline_and_bit_identical(8, n)
 
 
-def test_two_block_ensemble_reaches_the_pool(monkeypatch):
+@pytest.mark.parametrize(
+    "P, n",
+    [(paths.POOL_MIN_BEADS, paths.BLOCK_ELEMS // paths.POOL_MIN_BEADS + 1), (8, paths.INLINE_ELEMS // 8 + 1)],
+    ids=["16-beads-two-blocks", "8-beads-over-limit"],
+)
+def test_multi_block_ensemble_reaches_the_pool(monkeypatch, P, n):
     """From POOL_MIN_BEADS on, an ensemble one row larger than a block is
-    two pooled blocks."""
-    P = paths.POOL_MIN_BEADS
+    two pooled blocks; below, one row over INLINE_ELEMS elements is pooled
+    too, so no ensemble is held whole above that limit."""
     rows = paths.BLOCK_ELEMS // P
     submitted = []
 
@@ -115,11 +121,11 @@ def test_two_block_ensemble_reaches_the_pool(monkeypatch):
         return (np.full(len(block.amps), len(block.amps)),)
 
     try:
-        (sizes,) = map_free_ring_paths(ThermoParams(bead_count=P), rows + 1, np.random.default_rng(0), per_path)
+        (sizes,) = map_free_ring_paths(ThermoParams(bead_count=P), n, np.random.default_rng(0), per_path)
     finally:
         pool.shutdown()
-    assert len(submitted) == 2
-    assert np.array_equal(sizes, np.r_[np.full(rows, rows), [1]])
+    assert len(submitted) == n // rows + 1 and n % rows == 1
+    assert np.array_equal(sizes, np.r_[np.full(n - 1, rows), [1]])
 
 
 @pytest.mark.parametrize("centroid", ["scalar", "per-sample"])

@@ -3,7 +3,7 @@ import pytest
 
 from ringtst import rates
 from ringtst.params import ThermoParams
-from ringtst.paths import cyclic_shift, fourier_mode_basis, free_ring_amplitudes
+from ringtst.paths import cyclic_shift, fourier_mode_basis, free_ring_amplitudes, map_free_ring_paths
 from ringtst.potentials import Eckart, FreeParticle, Harmonic
 from ringtst.rates import (
     OVERFLOW_GUARD,
@@ -235,10 +235,13 @@ def test_ratio_sweep_constant_schedule_tends_to_one():
 @pytest.mark.parametrize("P, mode", [(8, 3), (16, 4), (16, 8), (17, 12), (64, 40), (256, 128)])
 def test_free_ring_mean_f_matches_sampled_mean(P, mode):
     """The closed-form mean of f at centroid 0 (Rayleigh mean of the mode
-    norm, half-normal at the Nyquist mode) against 200k drawn paths."""
+    norm, half-normal at the Nyquist mode) against 200k drawn paths, reduced
+    block by block."""
     params = ThermoParams(beta=1.7, bead_count=P)
     spec = FourierNormSurface(mode=mode, phi=0.6)
-    f = mode_factors(spec, free_ring_amplitudes(params, 200_000, np.random.default_rng(P + mode)), 0.0).f
+    (f,) = map_free_ring_paths(
+        params, 200_000, np.random.default_rng(P + mode), lambda block: (mode_factors(spec, block.amps, 0.0).f,)
+    )
     z = (np.mean(f) - free_ring_mean_f(spec, params)) / (np.std(f) / np.sqrt(f.size))
     assert abs(z) < 4.0
 
