@@ -6,11 +6,10 @@ __version__ = "0.1.0"
 
 from .density import log_rho_ring
 from .params import ThermoParams
-from .paths import SinusoidalPathSpec, cyclic_shift, sinusoidal_path
+from .paths import SinusoidalPathSpec, sinusoidal_path
 from .potentials import DoubleWell, Eckart, FreeParticle, Harmonic, Potential
 from .rates import (
     RateReport,
-    divergence_probe,
     grid_oracle_rate,
     rate_estimates,
     ratio_sweep,
@@ -31,7 +30,6 @@ from .surfaces import (
     SingularSurfaceError,
     SurfaceFactors,
     equivalence_diagnostics,
-    f_eval,
     g_p,
     grad_f,
     surface_factors,
@@ -47,7 +45,6 @@ __all__ = [
     "DoubleWell",
     "SinusoidalPathSpec",
     "sinusoidal_path",
-    "cyclic_shift",
     "log_rho_ring",
     "CentroidSurface",
     "FourierNormSurface",
@@ -55,7 +52,6 @@ __all__ = [
     "SingularSurfaceError",
     "SurfaceFactors",
     "surface_factors",
-    "f_eval",
     "grad_f",
     "g_p",
     "equivalence_diagnostics",
@@ -70,5 +66,4 @@ __all__ = [
     "rate_estimates",
     "grid_oracle_rate",
     "ratio_sweep",
-    "divergence_probe",
 ]

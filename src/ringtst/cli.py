@@ -26,17 +26,19 @@ refinement, harmonic-analysis weight overflow on the oracle grid), reported
 as one ``error:`` line on stderr; 3 run completed but produced only
 divergence diagnostics (artifacts still written): ``rate`` when a
 sample's harmonic-analysis log-weight passes the overflow guard,
-``ratio-sweep`` when that happens at every bead count.
+``ratio-sweep`` when that happens at every bead count.  JSON has no NaN or
+infinity, so a value that is not finite, such as the harmonic-analysis
+rate and the ratio of a diverged ``rate``, is written as ``null``.
 
 ``rate`` writes ``rate.json``: ``rate_report`` holds both rate products
 with error bars (``kza_rpmd``, ``kza_ha``), their ratio, the divergence
 flag, the three window widths used (``delta_widths``), ``n_samples`` and
 ``seed``; ``grid_oracle`` holds the P <= 4 quadrature values, with the
 delta constraint solved exactly for the centroid, or why they were skipped.
-The oracle covers every surface except Fourier-norm mode 0 or P, which
-exits 2; it runs before the Monte-Carlo estimate, so a rejected input
-draws no path.  The particle mass is ``thermo.mass`` alone, and the
-dividing-surface level is the top-level ``d`` (default 0).
+A Fourier-norm ``surface.mode`` lies in 1 .. P - 1: mode 0 fails
+validation, and a mode of P or more, whose norm depends on the centroid,
+exits 2 before any path is drawn.  The particle mass is ``thermo.mass``
+alone, and the dividing-surface level is the top-level ``d`` (default 0).
 """
 from __future__ import annotations
 
@@ -103,7 +105,7 @@ CONFIG_SCHEMA = {
             "required": ["kind"],
             "properties": {
                 "kind": {"enum": ["centroid", "fourier_norm", "quad_diff"]},
-                "mode": {"type": "integer", "minimum": 0},
+                "mode": {"type": "integer", "minimum": 1},
                 "offset": {"type": "integer", "minimum": 1},
                 "phi": {"type": "number"},
             },

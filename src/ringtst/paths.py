@@ -1,4 +1,4 @@
-"""Cyclic bead paths: generators, shifts, and exact free-polymer sampling.
+"""Cyclic bead paths: generators and exact free-polymer sampling.
 
 A path is a plain 1-D numpy array of length P; index k is bead k with
 cyclic wrap-around (index P is bead 0 again).
@@ -42,11 +42,6 @@ BLOCK_ELEMS = 1 << 17
 # keeps the memory of an ensemble bounded by its blocks.
 POOL_MIN_BEADS = 16
 INLINE_ELEMS = 1 << 20
-
-
-def cyclic_shift(path: np.ndarray, shift: int) -> np.ndarray:
-    """Relabel beads cyclically; the physical ring is unchanged."""
-    return np.roll(path, shift)
 
 
 @dataclass(frozen=True)

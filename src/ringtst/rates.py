@@ -11,7 +11,7 @@ F = exp(beta g_P^2 / 2 m P) * flux_sum for the harmonic-analysis flux
 Both backends take f and the flux factors of each path from one
 ``surfaces.mode_factors`` pass over its Fourier-mode amplitudes
 (``integrand_factors`` turns its SurfaceFactors into F_rpmd and F_ha);
-neither calls ``f_eval`` or ``grad_f``.
+neither calls ``grad_f``.
 
 Monte-Carlo backend: exact normal-mode sampling of the free ring polymer
 with the centroid drawn from a Gaussian proposal, re-weighted by the
@@ -24,7 +24,8 @@ three fixed widths with linear extrapolation to zero width.
 
 Grid oracle, P <= 4: a midpoint-rule quadrature over the P - 1 fluctuation
 modes, with the delta constraint solved exactly for the centroid; it covers
-every surface except the Fourier-norm modes 0 and P.
+every surface, since the norm term of each accepted surface does not
+depend on the centroid.
 """
 from __future__ import annotations
 
@@ -97,30 +98,6 @@ def gaussian_window(x, w):
     return np.exp(-0.5 * (x / w) ** 2) / (w * np.sqrt(2.0 * np.pi))
 
 
-def eta0_factor_closed(g, params: ThermoParams):
-    """Closed-form Gaussian integral over the collective fluctuation
-    coordinate: sqrt(2 pi beta hbar^2 / m P) exp(beta g^2 / 2 m P)."""
-    a = params.mass * params.bead_count / (2.0 * params.beta * params.hbar**2)
-    b = np.asarray(g, dtype=float) / params.hbar
-    return np.sqrt(np.pi / a) * np.exp(b**2 / (4.0 * a))
-
-
-def eta0_factor_quadrature(g, params: ThermoParams, n_points: int = 4001):
-    """Direct numerical integral of exp(-a eta^2 - b eta) on a grid
-    centered at the stationary point, 10 Gaussian widths wide; the
-    reference for the closed form."""
-    a = params.mass * params.bead_count / (2.0 * params.beta * params.hbar**2)
-    b = np.asarray(g, dtype=float) / params.hbar
-    center = -b / (2.0 * a)
-    sigma = 1.0 / np.sqrt(2.0 * a)
-    t = np.linspace(-10.0, 10.0, n_points)
-    eta = center[..., None] + sigma * t
-    # subtract the peak log-value so the exponential cannot overflow
-    peak = b**2 / (4.0 * a)
-    vals = np.exp(-a * eta**2 - b[..., None] * eta - peak[..., None])
-    return np.trapezoid(vals, eta, axis=-1) * np.exp(peak)
-
-
 def ha_log_weight(g, params: ThermoParams):
     """beta g^2 / (2 m P), the log of the harmonic-analysis enhancement."""
     g = np.asarray(g, dtype=float)
@@ -160,8 +137,10 @@ def rate_estimates(
     sigma_f, evaluated once for both flux factors; each rate is the
     zero-width intercept of the linear fit to its window means, and its
     error bar comes from the same intercept of n_batches consecutive batch
-    means.
+    means.  A surface the bead count does not admit is rejected before any
+    number is drawn.
     """
+    _check_order(spec, params.bead_count)
     rng = np.random.default_rng(seed)
     sigma_c = params.hbar * np.sqrt(params.beta / params.mass)
     c = d + sigma_c * rng.standard_normal(n_samples)
@@ -246,18 +225,10 @@ def grid_oracle_rate(pot: Potential, spec: Surface, d: float, params: ThermoPara
     midpoint rule on ORACLE_CELLS cells, an even number, so the node xi = 0,
     where the norm term vanishes, is never evaluated.  Refinement doubles
     the cells per axis and must change each result by less than 1%.
-
-    Fourier-norm mode 0 or P is rejected: there L_n = P |c| depends on the
-    centroid, so the constraint has no single solution in c.
     """
     P = params.bead_count
     if P > ORACLE_MAX_BEADS:
         raise ValueError(f"grid oracle restricted to P <= {ORACLE_MAX_BEADS}")
-    if isinstance(spec, FourierNormSurface) and spec.mode in (0, P):
-        raise ValueError(
-            f"grid oracle needs a centroid-independent surface: Fourier-norm mode "
-            f"{spec.mode} has L_n = P |c|, which depends on the centroid"
-        )
     cos_phi = 1.0 if isinstance(spec, CentroidSurface) else float(np.cos(spec.phi))
     basis = fourier_mode_basis(P)
     sigma = free_ring_mode_std(params)
@@ -297,16 +268,10 @@ def free_ring_mean_f(spec: FourierNormSurface, params: ThermoParams) -> float:
     amplitudes a_j have the standard deviation sigma of
     ``free_ring_mode_std``: over a (cos, sin) pair L_n / sqrt(w) is a
     Rayleigh variable of mean sigma sqrt(pi / 2), on the Nyquist column a
-    half-normal of mean sigma sqrt(2 / pi).  Modes 0 and P are rejected:
-    there L_n = P |c| depends on the centroid.
+    half-normal of mean sigma sqrt(2 / pi).
     """
     P = params.bead_count
     _check_order(spec, P)
-    if spec.mode % P == 0:
-        raise ValueError(
-            f"the free-ring mean of f needs a centroid-independent surface: Fourier-norm mode "
-            f"{spec.mode} at P = {P} has L_n = P |c|, which depends on the centroid"
-        )
     cols, W, _ = _mode_weights(spec, P)
     sigma = free_ring_mode_std(params)[cols][0]
     shape = np.sqrt(np.pi / 2.0) if W.shape[0] == 2 else np.sqrt(2.0 / np.pi)
@@ -338,37 +303,6 @@ def ratio_sweep(
                 "ratio": rep.ratio_ha_over_rpmd,
                 "error": rep.ratio_err,
                 "divergence_flag": rep.divergence_flag,
-            }
-        )
-    return rows
-
-
-def divergence_probe(P_list, params: ThermoParams) -> list[dict]:
-    """Log-weight of the harmonic-analysis factor on unit-amplitude
-    half-mode-excited sinusoidal paths (surface phi = SWEEP_PHI), per bead
-    count, with the overflow verdict.
-
-    The ring-polymer flux factor stays finite on the same paths; only the
-    exponential enhancement overflows, and it does so at a bead count that
-    grows like the square root of the guard.
-    """
-    from .paths import SinusoidalPathSpec, sinusoidal_path
-
-    rows = []
-    for P in P_list:
-        if P % 2:
-            raise ValueError("half-mode probe needs even P")
-        pp = params.with_beads(P)
-        spec = FourierNormSurface(mode=P // 2, phi=SWEEP_PHI)
-        q = sinusoidal_path(SinusoidalPathSpec(q0=0.0, amplitude=1.0, mode=P // 2, phase=np.pi / 4), P)
-        sf = surface_factors(spec, q, pp)
-        lw = float(ha_log_weight(sf.g_p, pp))
-        rows.append(
-            {
-                "P": P,
-                "log_weight": lw,
-                "divergence_flag": lw > OVERFLOW_GUARD,
-                "rpmd_factor": float(np.sqrt(sf.b_p)),
             }
         )
     return rows

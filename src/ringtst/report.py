@@ -2,12 +2,15 @@
 
 Every artifact embeds the configuration hash and library version so a
 result file can always be traced back to its exact inputs.  CSV numbers
-are written with 9 significant digits; JSON keeps full double precision.
+are written with 9 significant digits; JSON keeps full double precision
+and writes a non-finite number (NaN, +-inf), which JSON has no literal
+for, as null.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -44,6 +47,16 @@ def write_csv(path, fieldnames, rows, cfg_hash: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _finite_or_null(v):
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_finite_or_null(x) for x in v]
+    return v
+
+
 def write_json(path, payload: dict, cfg_hash: str) -> None:
     path = Path(path)
     doc = {
@@ -52,4 +65,4 @@ def write_json(path, payload: dict, cfg_hash: str) -> None:
         "library_version": _library_version(),
     }
     doc.update(payload)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(_finite_or_null(doc), sort_keys=True, indent=2, allow_nan=False) + "\n")

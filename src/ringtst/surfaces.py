@@ -22,13 +22,14 @@ The surfaces are cyclically invariant, so both non-centroid families read
 f = cos(phi) c + sin(phi) N / R with N^2 a weighted sum of squared
 amplitudes, and one code path evaluates them, with no real-space pass.
 ``surface_factors`` takes real-space paths to the same evaluator through
-one centred rfft.  ``f_eval`` and ``grad_f`` are the reference value and
-gradient, and ``g_p`` keeps the cyclic form of g_P as an independent
-cross-check; no ensemble calls them.
+one centred rfft.  ``g_p`` keeps the cyclic form of g_P, from the
+gradient ``grad_f``, as an independent cross-check; no ensemble calls them.
 
-The Fourier-mode sums of L_n are taken over q - qbar for 0 < n mod P: the
-cosine and sine columns sum to zero, so the value is the same, but the
-rounding follows the fluctuations of the path rather than |q|.
+A Fourier-norm mode n lies in 1 .. P - 1 (``_check_order``): mode P, like
+mode 0, has L_n = P |c|, a norm that depends on the centroid.  The
+Fourier-mode sums of L_n are taken over q - qbar: the cosine and sine
+columns sum to zero, so the value is the same, but the rounding follows
+the fluctuations of the path rather than |q|.
 """
 from __future__ import annotations
 
@@ -73,8 +74,8 @@ class FourierNormSurface:
     phi_floor: float = PHI_FLOOR
 
     def __post_init__(self):
-        if self.mode < 0:
-            raise ValueError("mode must be nonnegative")
+        if self.mode < 1:
+            raise ValueError("mode must be >= 1")
         _check_phi(self.phi, self.phi_floor)
 
     def norm_factor(self, bead_count: int) -> float:
@@ -107,8 +108,11 @@ _NORM_FLOOR = 1e-12
 
 
 def _check_order(spec: Surface, P: int) -> None:
-    if isinstance(spec, FourierNormSurface) and spec.mode > P:
-        raise ValueError("surface mode exceeds bead count")
+    if isinstance(spec, FourierNormSurface) and spec.mode >= P:
+        raise ValueError(
+            f"Fourier-norm mode {spec.mode} at P = {P}: the mode must be below the bead count "
+            "(the norm of mode P, P |c|, depends on the centroid)"
+        )
     if isinstance(spec, QuadDiffSurface) and spec.offset > P - 1:
         raise ValueError("surface offset exceeds P - 1")
 
@@ -125,33 +129,15 @@ def _rowdot(a, b):
 
 
 def _mode_sums(q: np.ndarray, n: int):
-    """(C, S) = q @ basis over the last axis, and the (P, 2) basis with
-    columns cos(2 pi n j / P) and sin(2 pi n j / P); the angle is reduced
-    as (n j) mod P before it is scaled.
-
-    For 0 < n mod P the projection is of q - qbar: exact, since each basis
-    column sums to zero, and rounded at the scale of the fluctuations.
-    Modes 0 and P keep C = sum_j q_j, so that L_n = |sum_j q_j|.
-    """
+    """(C, S) = (q - qbar) @ basis over the last axis, and the (P, 2) basis
+    with columns cos(2 pi n j / P) and sin(2 pi n j / P); the angle is
+    reduced as (n j) mod P before it is scaled.  Centring is exact, since
+    each basis column sums to zero, and rounds at the scale of the
+    fluctuations."""
     P = q.shape[-1]
     ang = 2.0 * np.pi * ((n * np.arange(P)) % P) / P
     basis = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    if n % P:
-        q = q - np.mean(q, axis=-1, keepdims=True)
-    return q @ basis, basis
-
-
-def fourier_mode_norm(q, n: int):
-    """L_n(q), computed from the real cosine/sine sums."""
-    cs, _ = _mode_sums(np.asarray(q, dtype=float), n)
-    return np.hypot(cs[..., 0], cs[..., 1])
-
-
-def quad_diff_norm(q, n: int):
-    """D_n(q) = sqrt(sum_j (q_j - q_{j+n})^2)."""
-    q = np.asarray(q, dtype=float)
-    diff = q - np.roll(q, -n, axis=-1)
-    return np.sqrt(_rowdot(diff, diff))
+    return (q - np.mean(q, axis=-1, keepdims=True)) @ basis, basis
 
 
 def _singular(norm, q_sq) -> np.ndarray:
@@ -167,20 +153,6 @@ def _raise_if_singular(norm, amps, centroid) -> None:
     P = amps.shape[-1] + 1
     if np.any(_singular(norm, _rowdot(amps, amps) + P * centroid**2)):
         raise SingularSurfaceError("surface norm term vanishes on this path")
-
-
-def f_eval(spec: Surface, q):
-    """Value of the dividing-surface function (not offset by d)."""
-    q = _check(spec, q)
-    P = q.shape[-1]
-    mean = np.mean(q, axis=-1)
-    if isinstance(spec, CentroidSurface):
-        return mean
-    if isinstance(spec, FourierNormSurface):
-        L = fourier_mode_norm(q, spec.mode)
-        return np.cos(spec.phi) * mean + np.sqrt(2.0) * np.sin(spec.phi) * L / P
-    D = quad_diff_norm(q, spec.offset)
-    return np.cos(spec.phi) * mean + np.sin(spec.phi) * D / spec.norm_factor(P)
 
 
 def grad_f(spec: Surface, q):
@@ -306,7 +278,7 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
         sum_difference = -sqrt(B_P) S / 4
         g_P            = (m P / 2 beta hbar) link.
 
-    Fourier-norm (0 < n mod P) and quad-diff surfaces share one form,
+    Fourier-norm and quad-diff surfaces share one form,
     f = cos(phi) c + sin(phi) N / R, with R = ``norm_factor(P)`` and
     N^2 = sum_j w_j a_j^2 over the columns and weights of ``_mode_weights``
     (N = L_n or D_n).  The gradient of N is curv / N with
@@ -316,8 +288,7 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
     sum_k (curv_{k+1} - curv_k)^2 = A w^2 lambda_1 and
     sum_k (q_{k+1} - q_k) curv_k = -A lambda_1 w / 2.  With
     t1 = sin(phi) / (R N): B_P = cos^2(phi) / P + t1^2 |curv|^2 and
-    S = t1^2 sum_k (curv_{k+1} - curv_k)^2 / B_P.  Fourier-norm modes 0 and
-    P have L = P |c| and a gradient constant along the ring, so S = link = 0.
+    S = t1^2 sum_k (curv_{k+1} - curv_k)^2 / B_P.
 
     The singular check is grad_f's, with |q|^2 = sum amps^2 + P c^2.
     """
@@ -334,28 +305,17 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
     else:
         cos_phi, sin_phi = np.cos(spec.phi), np.sin(spec.phi)
         t0 = cos_phi / P
-        if isinstance(spec, FourierNormSurface) and spec.mode % P == 0:
-            L = P * np.abs(c)
-            _raise_if_singular(L, a, c)
-            norm_term = np.sqrt(2.0) * sin_phi * L / P
-            t0 = (cos_phi + np.sqrt(2.0) * sin_phi * np.sign(c)) / P
-            B = P * t0**2
-            t1, S, link = 0.0, 0.0, 0.0
-        else:
-            cols, W, mu = _mode_weights(spec, P)
-            a_w = a[:, cols]
-            N2, curv2, dcurv2, link = (a_w * a_w @ W).T
-            N = np.sqrt(N2)
-            _raise_if_singular(N, a, c)
-            R = spec.norm_factor(P)
-            t1 = sin_phi / (R * N)
-            B = cos_phi**2 / P + t1**2 * curv2
-            S = t1**2 * dcurv2 / B
-            link = t1 * link
-            norm_term = sin_phi * N / R
-        f = cos_phi * c + norm_term
-        if np.any(B == 0.0):
-            raise SingularSurfaceError("gradient vanishes; T undefined")
+        cols, W, mu = _mode_weights(spec, P)
+        a_w = a[:, cols]
+        N2, curv2, dcurv2, link = (a_w * a_w @ W).T
+        N = np.sqrt(N2)
+        _raise_if_singular(N, a, c)
+        R = spec.norm_factor(P)
+        t1 = sin_phi / (R * N)
+        B = cos_phi**2 / P + t1**2 * curv2
+        S = t1**2 * dcurv2 / B
+        link = t1 * link
+        f = cos_phi * c + sin_phi * N / R
     root = np.sqrt(B)
     sum_diff = -0.25 * root * S
     # the link sum of the unit vector T is that of the gradient over sqrt(B_P)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import re
@@ -25,6 +26,36 @@ def run(tmp_path, *argv):
 def test_exports_resolve():
     missing = [name for name in ringtst.__all__ if not hasattr(ringtst, name)]
     assert missing == []
+
+
+PUBLIC_NAMES = {
+    "__version__", "ThermoParams", "Potential", "FreeParticle", "Harmonic", "Eckart", "DoubleWell",
+    "SinusoidalPathSpec", "sinusoidal_path", "log_rho_ring", "CentroidSurface", "FourierNormSurface",
+    "QuadDiffSurface", "SingularSurfaceError", "SurfaceFactors", "surface_factors", "grad_f", "g_p",
+    "equivalence_diagnostics", "ModeSchedule", "ScalingSeries", "tdiff_series", "gp_series", "sumdiff_series",
+    "figure1_emit", "quaddiff_orders", "RateReport", "rate_estimates", "grid_oracle_rate", "ratio_sweep",
+}
+
+# reference values only the tests call; they live in tests/reference.py
+TEST_ONLY_NAMES = {
+    "surfaces": ("f_eval", "fourier_mode_norm", "quad_diff_norm"),
+    "rates": ("eta0_factor_closed", "eta0_factor_quadrature", "divergence_probe"),
+    "closed_forms": (
+        "sum_difference_figure", "tdiff_gradient", "sum_difference_gradient", "mode_norm_sinusoidal",
+        "gp_sinusoidal", "half_mode_b_p", "half_mode_tdiff_abs", "half_mode_gp",
+    ),
+    "paths": ("cyclic_shift",),
+}
+
+
+def test_public_names_exclude_test_only_code():
+    assert sorted(ringtst.__all__) == sorted(PUBLIC_NAMES)
+    namespace = {}
+    exec("from ringtst import *", namespace)  # fails on a name that does not import
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+    for module, names in TEST_ONLY_NAMES.items():
+        for owner in (importlib.import_module(f"ringtst.{module}"), ringtst):
+            assert [n for n in names if hasattr(owner, n)] == [], owner.__name__
 
 
 def test_readme_lists_every_command():
@@ -218,8 +249,15 @@ def test_all_divergent_exits_3_with_artifacts(tmp_path, monkeypatch):
     # every harmonic-analysis log-weight is >= 0, so a guard of -1 flags them all
     monkeypatch.setattr(rates, "OVERFLOW_GUARD", -1.0)
     assert main(["--command", "rate", "--out", str(tmp_path / "rate")]) == 3
-    doc = json.loads((tmp_path / "rate" / "rate.json").read_text())
-    assert doc["rate_report"]["divergence_flag"] is True
+
+    def not_json(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads((tmp_path / "rate" / "rate.json").read_text(), parse_constant=not_json)
+    report = doc["rate_report"]
+    assert report["divergence_flag"] is True
+    assert [report[k] for k in ("kza_ha", "kza_ha_err", "ratio_ha_over_rpmd", "ratio_err")] == [None] * 4
+    assert math.isfinite(report["kza_rpmd"])
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("command: ratio-sweep\np_list: [16, 32]\nn_samples: 2000\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 3
@@ -269,6 +307,7 @@ def test_rate_grid_oracle_fourier_norm(tmp_path):
 
 
 def test_rate_grid_oracle_centroid_dependent_mode_exits_2(tmp_path, capsys):
+    # mode 0 fails validation; mode P is test_rate_mode_at_bead_count_draws_no_path
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         "command: rate\n"
@@ -279,8 +318,27 @@ def test_rate_grid_oracle_centroid_dependent_mode_exits_2(tmp_path, capsys):
     )
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
-    assert_one_error_line(capsys, "mode 0", "depends on the centroid")
+    assert_one_error_line(capsys, "invalid config at surface/mode: 0 is less than the minimum of 1")
     assert not (out / "rate.json").exists()
+
+
+@pytest.mark.parametrize("oracle", ["true", "false"], ids=["oracle", "no-oracle"])
+def test_rate_mode_at_bead_count_draws_no_path(tmp_path, capsys, monkeypatch, oracle):
+    draws = []
+    monkeypatch.setattr(rates, "map_free_ring_paths", lambda *a, **k: draws.append(a))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "command: rate\n"
+        "thermo: {bead_count: 3}\n"
+        "surface: {kind: fourier_norm, mode: 3, phi: 0.5}\n"
+        "n_samples: 1000\n"
+        f"grid_oracle: {oracle}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert_one_error_line(capsys, "Fourier-norm mode 3 at P = 3", "depends on the centroid")
+    assert not (out / "rate.json").exists()
+    assert draws == []
 
 
 def test_rate_rejected_oracle_input_draws_no_path(tmp_path, monkeypatch):

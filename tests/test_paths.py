@@ -4,7 +4,6 @@ import pytest
 from ringtst.params import ThermoParams
 from ringtst.paths import (
     SinusoidalPathSpec,
-    cyclic_shift,
     fourier_basis_eigenvalues,
     fourier_mode_basis,
     free_ring_amplitudes,
@@ -23,16 +22,6 @@ def test_sinusoidal_degenerate_modes():
     assert np.allclose(q, np.sqrt(2.0) * np.sin(0.7))
     q = sinusoidal_path(SinusoidalPathSpec(q0=1.0, amplitude=0.0, mode=3, phase=0.2), 6)
     assert np.allclose(q, 1.0)
-
-
-def test_cyclic_shift_preserves_links_and_values():
-    rng = np.random.default_rng(0)
-    q = rng.standard_normal(10)
-    s = cyclic_shift(q, 3)
-    assert sorted(s) == pytest.approx(sorted(q))
-    links = np.sort(np.abs(q - np.roll(q, -1)))
-    links_s = np.sort(np.abs(s - np.roll(s, -1)))
-    assert links_s == pytest.approx(links)
 
 
 def test_mode_basis_orthonormal():

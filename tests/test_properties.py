@@ -5,18 +5,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference import f_eval, fourier_mode_norm, quad_diff_norm
 from ringtst.density import log_rho_ring
 from ringtst.params import ThermoParams
 from ringtst.potentials import DoubleWell, Eckart, FreeParticle, Harmonic
-from ringtst.surfaces import (
-    CentroidSurface,
-    FourierNormSurface,
-    QuadDiffSurface,
-    f_eval,
-    fourier_mode_norm,
-    grad_f,
-    quad_diff_norm,
-)
+from ringtst.surfaces import CentroidSurface, FourierNormSurface, QuadDiffSurface, grad_f
 
 
 @st.composite
@@ -26,7 +19,7 @@ def surfaces(draw, P):
     if kind == "centroid":
         return CentroidSurface()
     if kind == "fourier_norm":
-        return FourierNormSurface(mode=draw(st.integers(0, P)), phi=phi)
+        return FourierNormSurface(mode=draw(st.integers(1, P - 1)), phi=phi)
     return QuadDiffSurface(offset=draw(st.integers(1, P - 1)), phi=phi)
 
 

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from reference import divergence_probe, eta0_factor_closed, eta0_factor_quadrature, f_eval
 from ringtst import rates
 from ringtst.params import ThermoParams
-from ringtst.paths import cyclic_shift, fourier_mode_basis, free_ring_amplitudes, map_free_ring_paths
+from ringtst.paths import fourier_mode_basis, free_ring_amplitudes, map_free_ring_paths
 from ringtst.potentials import Eckart, FreeParticle, Harmonic
 from ringtst.rates import (
     OVERFLOW_GUARD,
-    divergence_probe,
-    eta0_factor_closed,
-    eta0_factor_quadrature,
     free_ring_mean_f,
     grid_oracle_rate,
     integrand_factors,
@@ -17,7 +15,7 @@ from ringtst.rates import (
     ratio_sweep,
 )
 from ringtst.scaling import ModeSchedule
-from ringtst.surfaces import CentroidSurface, FourierNormSurface, QuadDiffSurface, f_eval, mode_factors, surface_factors
+from ringtst.surfaces import CentroidSurface, FourierNormSurface, QuadDiffSurface, mode_factors, surface_factors
 
 TWO_PI_INV = 1.0 / (2.0 * np.pi)
 
@@ -181,10 +179,11 @@ def test_grid_oracle_rejects_large_P():
 
 @pytest.mark.parametrize("mode", [0, 3])
 def test_grid_oracle_rejects_centroid_dependent_mode(mode):
+    # the surface rejects mode 0 when it is built, the bead-count check mode P
     params = ThermoParams(bead_count=3)
-    spec = FourierNormSurface(mode=mode, phi=0.5)
-    with pytest.raises(ValueError, match="depends on the centroid"):
-        grid_oracle_rate(Harmonic(omega=1.0), spec, 0.0, params)
+    message = "mode must be >= 1" if mode == 0 else "Fourier-norm mode 3 at P = 3.*depends on the centroid"
+    with pytest.raises(ValueError, match=message):
+        grid_oracle_rate(Harmonic(omega=1.0), FourierNormSurface(mode=mode, phi=0.5), 0.0, params)
 
 
 def test_centroid_degeneracy_per_configuration():
@@ -210,7 +209,7 @@ def test_integrand_cyclic_invariance():
     for spec in (CentroidSurface(), FourierNormSurface(mode=2, phi=np.pi / 4)):
         base = integrand_factors(surface_factors(spec, q, params), params)
         for s in range(1, 10):
-            shifted = integrand_factors(surface_factors(spec, cyclic_shift(q, s), params), params)
+            shifted = integrand_factors(surface_factors(spec, np.roll(q, s), params), params)
             for a, b in zip(base, shifted):
                 assert b == pytest.approx(a, rel=1e-9)
 

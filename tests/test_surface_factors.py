@@ -1,12 +1,14 @@
 """surface_factors and mode_factors against the separate rolled-sum
-definitions and f_eval, their invariants, and the one-surface-pass-per-path
-guarantee of their callers: ensembles and the grid oracle evaluate each path
-once, in Fourier-mode coordinates, with no grad_f call."""
+definitions and the reference f, their invariants, and the
+one-surface-pass-per-path guarantee of their callers: ensembles and the
+grid oracle evaluate each path once, in Fourier-mode coordinates, with no
+grad_f call."""
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from reference import f_eval, fourier_mode_norm, quad_diff_norm
 from ringtst import paths, rates, scaling, surfaces
 from ringtst.params import ThermoParams
 from ringtst.paths import BLOCK_ELEMS
@@ -18,11 +20,8 @@ from ringtst.surfaces import (
     FourierNormSurface,
     QuadDiffSurface,
     SingularSurfaceError,
-    f_eval,
-    fourier_mode_norm,
     g_p,
     mode_factors,
-    quad_diff_norm,
     surface_factors,
 )
 
@@ -31,7 +30,7 @@ TOL = 1e-12
 
 def reference_factors(spec, q, params):
     """The definitions written out with one rolled copy per neighbour sum,
-    and f from f_eval.  For 0 < n mod P the mode sums are taken of q - qbar,
+    and f from the reference f_eval.  The mode sums are taken of q - qbar,
     which is exact since cos and sin of 2 pi n j / P sum to zero over j:
     uncentred, they round at the scale of |sum_j q_j|, which on offset paths
     with a small mode amplitude exceeds TOL of T.  The centring and the mode
@@ -44,8 +43,7 @@ def reference_factors(spec, q, params):
         g = np.full(q.shape, 1.0 / P)
     elif isinstance(spec, FourierNormSurface):
         x = q.astype(np.longdouble)
-        if spec.mode % P:
-            x -= np.mean(x, axis=-1, keepdims=True)
+        x -= np.mean(x, axis=-1, keepdims=True)
         ang_x = 2 * np.arccos(np.longdouble(-1.0)) * ((spec.mode * np.arange(P)) % P) / P
         c = np.sum(np.cos(ang_x) * x, axis=-1, keepdims=True).astype(float)
         s = np.sum(np.sin(ang_x) * x, axis=-1, keepdims=True).astype(float)
@@ -99,7 +97,7 @@ def surface_and_paths(draw):
     if kind == "centroid":
         spec = CentroidSurface()
     elif kind == "fourier_norm":
-        spec = FourierNormSurface(mode=draw(st.integers(0, P)), phi=phi)
+        spec = FourierNormSurface(mode=draw(st.integers(1, P - 1)), phi=phi)
     else:
         spec = QuadDiffSurface(offset=draw(st.integers(1, P - 1)), phi=phi)
     block = max(1, BLOCK_ELEMS // P)
@@ -131,9 +129,9 @@ def _offset_paths(seed, shape, offset, spread=0.7):
 
 @settings(max_examples=60, deadline=None)
 @given(surface_and_paths())
-# Fourier-norm modes 0 and P, where L_n = |sum_j q_j| is not centred
-@example((FourierNormSurface(mode=0, phi=0.6), _offset_paths(1, (7, 12), 1.5), ThermoParams(bead_count=12)))
-@example((FourierNormSurface(mode=12, phi=-0.9), _offset_paths(2, (7, 12), -0.4), ThermoParams(bead_count=12)))
+# Fourier-norm modes 1 and P - 1, the ends of the accepted range, on offset paths
+@example((FourierNormSurface(mode=1, phi=0.6), _offset_paths(1, (7, 12), 1.5), ThermoParams(bead_count=12)))
+@example((FourierNormSurface(mode=11, phi=-0.9), _offset_paths(2, (7, 12), -0.4), ThermoParams(bead_count=12)))
 # the Nyquist mode, and its neighbours, on near-constant paths
 @example((FourierNormSurface(mode=32, phi=0.8), _offset_paths(3, (9, 64), 1.7, 1e-6), ThermoParams(bead_count=64)))
 @example((FourierNormSurface(mode=1, phi=-1.2), _offset_paths(4, (9, 2), -2.0, 1e-6), ThermoParams(bead_count=2)))
@@ -278,35 +276,20 @@ def test_integrand_factors_one_gradient_per_path(grad_rows, mode_rows, spec):
     assert grad_rows == []
 
 
-@pytest.fixture
-def f_calls(monkeypatch):
-    """Counts f_eval calls."""
-    calls = []
-    inner = surfaces.f_eval
-
-    def counted(spec, q):
-        calls.append(int(np.prod(np.shape(q)[:-1])))
-        return inner(spec, q)
-
-    monkeypatch.setattr(surfaces, "f_eval", counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "spec",
     [CentroidSurface(), FourierNormSurface(mode=1, phi=0.5), QuadDiffSurface(offset=1, phi=0.7)],
     ids=["centroid", "fourier", "quaddiff"],
 )
-def test_grid_oracle_one_surface_pass_per_node(grad_rows, mode_rows, f_calls, spec):
+def test_grid_oracle_one_surface_pass_per_node(grad_rows, mode_rows, spec):
     grid_oracle_rate(Harmonic(omega=1.0), spec, 0.0, ThermoParams(bead_count=3))
     # coarse and refined grid over the P - 1 = 2 fluctuation modes
     assert mode_rows == [ORACLE_CELLS**2, (2 * ORACLE_CELLS) ** 2]
     assert grad_rows == []
-    assert f_calls == []
 
 
-def test_rate_estimates_one_gradient_per_path(grad_rows, mode_rows, f_calls):
-    # f comes from the same mode_factors pass: no f_eval call
+def test_rate_estimates_one_gradient_per_path(grad_rows, mode_rows):
+    # f comes from the same mode_factors pass
     spec = FourierNormSurface(mode=2, phi=0.5)
     rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=16), n_samples=2000, seed=1)
     assert mode_rows == [2000]
@@ -315,7 +298,6 @@ def test_rate_estimates_one_gradient_per_path(grad_rows, mode_rows, f_calls):
     rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=256), n_samples=5000, seed=1)
     assert sum(mode_rows) == 5000 and len(mode_rows) == -(-5000 // (BLOCK_ELEMS // 256))
     assert grad_rows == []
-    assert f_calls == []
 
 
 def test_quaddiff_orders_one_gradient_per_path(grad_rows, mode_rows, monkeypatch):
