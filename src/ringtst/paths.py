@@ -11,20 +11,23 @@ ensemble of at most BLOCK_ELEMS path elements (1 MB), or of fewer than
 POOL_MIN_BEADS beads and at most INLINE_ELEMS elements (8 MB), over in one
 block drawn in the calling thread, whose paths are one dense matmul.
 Larger ensembles run on a thread pool in blocks of BLOCK_ELEMS elements:
-each block draws its own normals in its
-worker, from its own child of the caller's generator (``rng.spawn``), and
-reduces them to per-path values, building its paths, if asked, with
-``np.fft.irfft``, so the whole ensemble is never held at once.  Block
-boundaries are fixed by BLOCK_ELEMS and each child is tied to a block
-index, so the results do not depend on the number of cores.
-``mode_amplitudes`` is the inverse map, from real-space paths back to
-their amplitudes and centroids.
+each block draws its own normals in its worker, from its own child of the
+caller's generator (``rng.spawn``), and reduces them to per-path values,
+building its paths, if asked, with ``np.fft.irfft`` into a spectrum and a
+path array that each worker thread reuses for every block of the call, so
+the whole ensemble is never held at once and no block allocates path-sized
+scratch of its own.  Block boundaries are fixed by BLOCK_ELEMS and each
+child is tied to a block index, so the results do not depend on the number
+of cores.  ``mode_amplitudes`` is the inverse map, from real-space paths
+back to their amplitudes and centroids.
 """
 from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+import threading
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,17 +134,32 @@ def _spectrum_scale(P: int) -> np.ndarray:
     return w
 
 
-def _irfft_paths(amps: np.ndarray, centroid) -> np.ndarray:
+def _path_buffers(rows: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch for the paths of up to ``rows`` pooled paths of P beads: a
+    (rows, P // 2 + 1) spectrum, zeroed so that its DC and Nyquist-imaginary
+    columns, which ``_irfft_paths`` never writes, stay zero, and a (rows, P)
+    path array."""
+    return np.zeros((rows, P // 2 + 1), dtype=complex), np.empty((rows, P))
+
+
+def _irfft_paths(
+    amps: np.ndarray, centroid, spec: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Paths from a (rows, P - 1) block of amplitudes, with no BLAS call:
     the scaled amplitudes fill the spectrum in place of a matmul, and irfft
     gives q_k = sqrt(2/P) (a_l cos + b_l sin)(2 pi l k / P) + a_N (-1)^k /
-    sqrt(P).  The centroid is a scalar or a (rows, 1) column."""
+    sqrt(P).  The centroid is a scalar or a (rows, 1) column.  ``spec`` and
+    ``out``, if given, are (rows, P // 2 + 1) and (rows, P) arrays from
+    ``_path_buffers`` that the spectrum and the paths are written into; the
+    spectrum's columns 0, 1 and (even P) P + 1 of its float view must be
+    zero."""
     rows, P = amps.shape[0], amps.shape[1] + 1
-    spec = np.zeros((rows, P // 2 + 1), dtype=complex)
+    if spec is None:
+        spec = np.zeros((rows, P // 2 + 1), dtype=complex)
     # columns 2 .. P of the (re, im) view are X_1 .. X_{P/2}, imaginary
     # part of the Nyquist term excluded (odd P has no Nyquist term)
     np.multiply(amps, _spectrum_scale(P), out=spec.view(float)[:, 2 : P + 1])
-    q = np.fft.irfft(spec, n=P, axis=-1)
+    q = np.fft.irfft(spec, n=P, axis=-1, out=out)
     q += centroid
     return q
 
@@ -162,21 +180,32 @@ def mode_amplitudes(q) -> tuple[np.ndarray, np.ndarray]:
 class ModeBlock:
     """A block of paths q = centroid + amps @ fourier_mode_basis(P).T in
     Fourier-mode coordinates: amps is (rows, P - 1), centroid a scalar or
-    one value per row.  ``pooled`` blocks come from the worker pool."""
+    one value per row.  A block from the worker pool carries ``buffers``,
+    which returns the ``_path_buffers`` that its worker thread reuses for
+    each of its blocks in one ``map_free_ring_paths`` call."""
 
     amps: np.ndarray
     centroid: float | np.ndarray
-    pooled: bool = False
+    buffers: Callable[[], tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
+
+    @property
+    def pooled(self) -> bool:
+        """Whether the block runs on the worker pool."""
+        return self.buffers is not None
 
     def paths(self) -> np.ndarray:
         """The (rows, P) real-space paths, built as the draw would build
         them: one dense matmul for an ensemble handed over whole (at small
         P it is cheaper than irfft), irfft with no BLAS call for a pooled
-        block."""
+        block.  A pooled block writes them into its worker's path buffer:
+        they stay valid until the next block in that worker builds its
+        paths, and the caller may overwrite them in place."""
         c = np.asarray(self.centroid, dtype=float)
         c = float(c) if c.ndim == 0 else c.reshape(-1, 1)
         if self.pooled:
-            return _irfft_paths(self.amps, c)
+            spec, q = self.buffers()
+            rows = len(self.amps)
+            return _irfft_paths(self.amps, c, spec[:rows], q[:rows])
         q = self.amps @ fourier_mode_basis(self.amps.shape[1] + 1).T
         q += c
         return q
@@ -218,7 +247,11 @@ def map_free_ring_paths(
     Otherwise block i holds BLOCK_ELEMS // P paths (the last one the rest)
     and runs on the pool: its worker draws the normals from
     ``rng.spawn(n_blocks)[i]``, scales them by ``free_ring_mode_std`` and
-    applies per_path.  The
+    applies per_path.  A pooled block's paths are built into a spectrum and
+    a path array that its worker thread creates when its first block of
+    this call builds paths, reuses for its later blocks and drops when the
+    call returns; ``block.paths()`` is valid until the next block in that
+    worker builds its own, so the results that are views are copied.  The
     caller's own stream is not advanced.  An exception raised by per_path
     reaches the caller.
     """
@@ -230,12 +263,24 @@ def map_free_ring_paths(
     from concurrent.futures import wait
 
     std = free_ring_mode_std(params)
+    # path buffers of each worker thread, for this call only: a thread runs
+    # one block at a time, so its blocks take turns with them
+    scratch = {}
+
+    def buffers():
+        key = threading.get_ident()
+        if key not in scratch:
+            scratch[key] = _path_buffers(rows, P)
+        return scratch[key]
 
     def block(child, lo):
         hi = min(lo + rows, n_samples)
         z = child.standard_normal((hi - lo, P - 1))
         z *= std
-        return tuple(per_path(ModeBlock(z, centroid if centroid.ndim == 0 else centroid[lo:hi], pooled=True)))
+        out = per_path(ModeBlock(z, centroid if centroid.ndim == 0 else centroid[lo:hi], buffers))
+        # views are copied, so that no result reads a buffer the next block
+        # reuses; arrays that own their memory are passed on as they are
+        return tuple(x if x.base is None else x.copy() for x in map(np.asarray, out))
 
     starts = range(0, n_samples, rows)
     futures = [_pool().submit(block, child, lo) for child, lo in zip(rng.spawn(len(starts)), starts)]

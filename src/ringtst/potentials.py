@@ -12,16 +12,25 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Potential:
-    """Base class; subclasses fill in value."""
+    """Base class; subclasses fill in value.
 
-    def value(self, x):
+    ``value(x, out=None)`` is V at every element of x.  Given ``out``, an
+    array of x's shape that may be x itself, it writes V into ``out`` and
+    returns it, applying the same ufuncs in the same order as without, so
+    the values are bit-identical; no temporary of x's size is made.
+    """
+
+    def value(self, x, out=None):
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class FreeParticle(Potential):
-    def value(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def value(self, x, out=None):
+        if out is None:
+            return np.zeros_like(np.asarray(x, dtype=float))
+        out[...] = 0.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -31,8 +40,11 @@ class Harmonic(Potential):
     omega: float = 1.0
     mass: float = 1.0
 
-    def value(self, x):
-        return 0.5 * self.mass * self.omega**2 * np.asarray(x, dtype=float) ** 2
+    def value(self, x, out=None):
+        if out is None:
+            return 0.5 * self.mass * self.omega**2 * np.asarray(x, dtype=float) ** 2
+        np.square(x, out=out)
+        return np.multiply(0.5 * self.mass * self.omega**2, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -42,8 +54,13 @@ class Eckart(Potential):
     v0: float = 1.0
     a: float = 1.0
 
-    def value(self, x):
-        return self.v0 / np.cosh(np.asarray(x, dtype=float) / self.a) ** 2
+    def value(self, x, out=None):
+        if out is None:
+            return self.v0 / np.cosh(np.asarray(x, dtype=float) / self.a) ** 2
+        np.divide(x, self.a, out=out)
+        np.cosh(out, out=out)
+        np.square(out, out=out)
+        return np.divide(self.v0, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -53,9 +70,15 @@ class DoubleWell(Potential):
     v0: float = 1.0
     q0: float = 1.0
 
-    def value(self, x):
-        u = (np.asarray(x, dtype=float) / self.q0) ** 2 - 1.0
-        return self.v0 * u**2
+    def value(self, x, out=None):
+        if out is None:
+            u = (np.asarray(x, dtype=float) / self.q0) ** 2 - 1.0
+            return self.v0 * u**2
+        np.divide(x, self.q0, out=out)
+        np.square(out, out=out)
+        np.subtract(out, 1.0, out=out)
+        np.square(out, out=out)
+        return np.multiply(self.v0, out, out=out)
 
 
 def from_config(cfg: dict, mass: float = 1.0) -> Potential:

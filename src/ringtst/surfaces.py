@@ -307,7 +307,7 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
         t0 = cos_phi / P
         cols, W, mu = _mode_weights(spec, P)
         a_w = a[:, cols]
-        N2, curv2, dcurv2, link = (a_w * a_w @ W).T
+        N2, curv2, dcurv2, link = (np.square(a_w) @ W).T
         N = np.sqrt(N2)
         _raise_if_singular(N, a, c)
         R = spec.norm_factor(P)

@@ -1,8 +1,8 @@
 """The blocked, pooled evaluation of large free ring-polymer ensembles:
 the irfft transform and its rfft inverse, which ensembles stay in the
 calling thread, the per-block random streams, independence of the worker
-count, agreement with dense paths on the same normals, and errors raised
-inside a worker."""
+count, agreement with dense paths on the same normals, the per-worker path
+buffers, and errors raised inside a worker."""
 import dataclasses
 import sys
 import threading
@@ -193,9 +193,11 @@ def test_pooled_matches_dense_draw(monkeypatch, spec):
     basis = fourier_mode_basis(POOLED["P"])
     dense_blocks = []
 
-    def dense_paths(amps, centroid):
+    def dense_paths(amps, centroid, spec, out):
         dense_blocks.append(len(amps))
-        return amps @ basis.T + centroid
+        np.matmul(amps, basis.T, out=out)
+        out += centroid
+        return out
 
     def estimate():
         return rate_estimates(Eckart(), spec, 0.0, params, n_samples=POOLED["n"], seed=6, n_batches=25)
@@ -209,6 +211,51 @@ def test_pooled_matches_dense_draw(monkeypatch, spec):
         assert getattr(pooled, key) == pytest.approx(getattr(dense, key), rel=1e-12, abs=0.0)
     for key in ("kza_rpmd_err", "kza_ha_err", "ratio_err"):
         assert getattr(pooled, key) == pytest.approx(getattr(dense, key), rel=1e-9, abs=0.0)
+
+
+def _spy_path_buffers(monkeypatch):
+    """The threads that call paths._path_buffers, in call order."""
+    made = []
+    factory = paths._path_buffers
+
+    def spy(rows, P):
+        made.append(threading.get_ident())
+        return factory(rows, P)
+
+    monkeypatch.setattr(paths, "_path_buffers", spy)
+    return made
+
+
+def test_pooled_estimate_makes_path_buffers_once_per_worker(monkeypatch):
+    """One pooled rate_estimates call of 10 blocks on two workers builds
+    its paths in at most one spectrum and path buffer per worker thread,
+    none in the calling thread, and gives the same report as with the
+    default pool."""
+    spec = FourierNormSurface(mode=2, phi=0.5)
+    params = ThermoParams(bead_count=POOLED["P"])
+
+    def estimate():
+        return rate_estimates(Eckart(), spec, 0.0, params, n_samples=POOLED["n"], seed=8, n_batches=25)
+
+    want = estimate()
+    made = _spy_path_buffers(monkeypatch)
+    pool = ThreadPoolExecutor(max_workers=2)
+    monkeypatch.setattr(paths, "_pool", lambda: pool)
+    try:
+        got = estimate()
+    finally:
+        pool.shutdown()
+    assert 1 <= len(made) <= 2 and len(set(made)) == len(made)
+    assert threading.get_ident() not in made
+    assert got == want
+
+
+def test_quaddiff_orders_makes_no_path_buffers(monkeypatch):
+    """quaddiff_orders reads only the amplitudes of its pooled blocks, so it
+    builds no path and allocates no path buffer."""
+    made = _spy_path_buffers(monkeypatch)
+    quaddiff_orders("one", P_list=(128, 256), n_paths=POOLED["n"], seed=5)
+    assert made == []
 
 
 def test_worker_exception_reaches_caller():

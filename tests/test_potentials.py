@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ringtst.potentials import DoubleWell, Eckart, FreeParticle, Harmonic, from_config
 
@@ -15,6 +18,29 @@ ALL = [
 def test_value_finite(pot):
     xs = np.linspace(-50, 50, 101)
     assert np.all(np.isfinite(pot.value(xs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ALL + [Eckart(v0=0.3, a=3.1)]),
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 9)),
+        # |x / a| beyond about 710 overflows Eckart's cosh to inf
+        elements=st.floats(-1e4, 1e4) | st.floats(-3.0, 3.0),
+    ),
+)
+def test_value_in_place_is_bit_identical(pot, x):
+    """value(x, out=x) and value(x, out=<new array>) give the bits of value(x)."""
+    with np.errstate(over="ignore"):
+        want = pot.value(x)
+        fresh = np.empty_like(x)
+        got_fresh = pot.value(x, out=fresh)
+        y = x.copy()
+        got_inplace = pot.value(y, out=y)
+    assert got_fresh is fresh and got_inplace is y
+    assert got_fresh.tobytes() == want.tobytes()
+    assert got_inplace.tobytes() == want.tobytes()
 
 
 def test_eckart_barrier_shape():
