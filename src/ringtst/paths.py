@@ -197,9 +197,9 @@ class ModeBlock:
         """The (rows, P) real-space paths, built as the draw would build
         them: one dense matmul for an ensemble handed over whole (at small
         P it is cheaper than irfft), irfft with no BLAS call for a pooled
-        block.  A pooled block writes them into its worker's path buffer:
-        they stay valid until the next block in that worker builds its
-        paths, and the caller may overwrite them in place."""
+        block.  The caller may overwrite them in place.  A pooled block
+        writes them into its worker's path buffer: they stay valid until
+        the next block in that worker builds its paths."""
         c = np.asarray(self.centroid, dtype=float)
         c = float(c) if c.ndim == 0 else c.reshape(-1, 1)
         if self.pooled:

@@ -19,10 +19,10 @@ potential factor; real-space paths are built for the potential sum alone.
 An ensemble larger than one block (from 16 beads on) or than 8 MB of paths
 (below) is drawn and evaluated in fixed blocks on a thread pool, each block
 drawing its own normals (``paths.map_free_ring_paths``), with results
-independent of the core count; such a block's potential is evaluated in
-place, in the path buffer its worker reuses.  The delta constraint is
-realized by Gaussian windows of three fixed widths with linear
-extrapolation to zero width.
+independent of the core count.  The potential is evaluated in place, over
+the paths (for a pooled block, in the path buffer its worker reuses).  The
+delta constraint is realized by Gaussian windows of three fixed widths with
+linear extrapolation to zero width.
 
 Grid oracle, P <= 4: a midpoint-rule quadrature over the P - 1 fluctuation
 modes, with the delta constraint solved exactly for the centroid; it covers
@@ -148,14 +148,10 @@ def rate_estimates(
     c = d + sigma_c * rng.standard_normal(n_samples)
 
     def per_path(block):
-        if block.pooled:
-            # the paths live in the worker's reused buffer, and the potential
-            # overwrites them there
-            q = block.paths()
-            v = np.sum(pot.value(q, out=q), axis=-1)
-        else:
-            # the paths and the potential's temporary are freed before the surface pass
-            v = np.sum(pot.value(block.paths()), axis=-1)
+        # the potential overwrites the paths (for a pooled block, its
+        # worker's reused buffer) in place
+        q = block.paths()
+        v = np.sum(pot.value(q, out=q), axis=-1)
         sf = mode_factors(spec, block.amps, block.centroid, params)
         return (v, sf.f, *integrand_factors(sf, params))
 
