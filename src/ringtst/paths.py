@@ -12,11 +12,12 @@ POOL_MIN_BEADS beads and at most INLINE_ELEMS elements (8 MB), over in one
 block drawn in the calling thread, whose paths are one dense matmul.
 Larger ensembles run on a thread pool in blocks of BLOCK_ELEMS elements:
 each block draws its own normals in its worker, from its own child of the
-caller's generator (``rng.spawn``), and reduces them to per-path values,
-building its paths, if asked, with ``np.fft.irfft`` into a spectrum and a
-path array that each worker thread reuses for every block of the call, so
-the whole ensemble is never held at once and no block allocates path-sized
-scratch of its own.  Block boundaries are fixed by BLOCK_ELEMS and each
+caller's generator (``rng.spawn``), and reduces them to per-path values
+or per-block sums, building its paths, if asked, with ``np.fft.irfft``
+into a spectrum and a path array, and any amplitudes the caller derives
+into an amplitude buffer (``ModeBlock.scratch``), which each worker thread
+reuses for every block of the call, so the whole ensemble is never held at
+once and no block allocates path-sized scratch of its own.  Block boundaries are fixed by BLOCK_ELEMS and each
 child is tied to a block index, so the results do not depend on the number
 of cores.  ``mode_amplitudes`` is the inverse map, from real-space paths
 back to their amplitudes and centroids.
@@ -142,6 +143,12 @@ def _path_buffers(rows: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((rows, P // 2 + 1), dtype=complex), np.empty((rows, P))
 
 
+def _amp_buffer(rows: int, cols: int) -> np.ndarray:
+    """Scratch for up to ``rows`` pooled rows of ``cols`` mode amplitudes,
+    flat, for ``ModeBlock.scratch``."""
+    return np.empty(rows * cols)
+
+
 def _irfft_paths(
     amps: np.ndarray, centroid, spec: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -180,13 +187,16 @@ def mode_amplitudes(q) -> tuple[np.ndarray, np.ndarray]:
 class ModeBlock:
     """A block of paths q = centroid + amps @ fourier_mode_basis(P).T in
     Fourier-mode coordinates: amps is (rows, P - 1), centroid a scalar or
-    one value per row.  A block from the worker pool carries ``buffers``,
-    which returns the ``_path_buffers`` that its worker thread reuses for
-    each of its blocks in one ``map_free_ring_paths`` call."""
+    one value per row.  A block from the worker pool carries ``buffers``:
+    given a scratch factory (``_path_buffers``, ``_amp_buffer``) and its
+    arguments after the row count, it returns what that factory made for
+    the block's worker thread on the first request of this
+    ``map_free_ring_paths`` call, which the thread reuses for each of its
+    blocks in the call."""
 
     amps: np.ndarray
     centroid: float | np.ndarray
-    buffers: Callable[[], tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
+    buffers: Callable[..., object] | None = field(default=None, repr=False)
 
     @property
     def pooled(self) -> bool:
@@ -203,12 +213,24 @@ class ModeBlock:
         c = np.asarray(self.centroid, dtype=float)
         c = float(c) if c.ndim == 0 else c.reshape(-1, 1)
         if self.pooled:
-            spec, q = self.buffers()
+            spec, q = self.buffers(_path_buffers, self.amps.shape[1] + 1)
             rows = len(self.amps)
             return _irfft_paths(self.amps, c, spec[:rows], q[:rows])
         q = self.amps @ fourier_mode_basis(self.amps.shape[1] + 1).T
         q += c
         return q
+
+    def scratch(self, cols: int) -> np.ndarray:
+        """A C-contiguous (rows, cols) float array for the caller to fill: a
+        fresh one for an inline block.  A pooled block's is the start of its
+        worker's ``_amp_buffer``, made by the worker's first request of the
+        call with room for that many columns of any block, so a later
+        request may ask for fewer columns, not more; every request returns
+        the same memory, valid until the next one in that worker."""
+        rows = len(self.amps)
+        if not self.pooled:
+            return np.empty((rows, cols))
+        return self.buffers(_amp_buffer, cols)[: rows * cols].reshape(rows, cols)
 
 
 def _usable_cores() -> int:
@@ -238,11 +260,12 @@ def map_free_ring_paths(
     centroid (scalar or per-sample array, which the free weight does not
     constrain).
 
-    per_path maps a ModeBlock of rows paths to a tuple of 1-D arrays of
-    length rows; the result is each of those arrays over all n_samples
-    paths, in draw order.  When the ensemble fits in one block of
-    BLOCK_ELEMS elements, or has fewer than POOL_MIN_BEADS beads and at
-    most INLINE_ELEMS elements, it is one block,
+    per_path maps a ModeBlock of rows paths to a tuple of 1-D arrays,
+    either of length rows, one value per path, or of per-block reductions
+    of a fixed length; the result is each of those arrays concatenated in
+    block order, which for per-path values is draw order.  When the
+    ensemble fits in one block of BLOCK_ELEMS elements, or has fewer than
+    POOL_MIN_BEADS beads and at most INLINE_ELEMS elements, it is one block,
     ``free_ring_amplitudes(params, n_samples, rng)`` in the calling thread.
     Otherwise block i holds BLOCK_ELEMS // P paths (the last one the rest)
     and runs on the pool: its worker draws the normals from
@@ -251,9 +274,9 @@ def map_free_ring_paths(
     a path array that its worker thread creates when its first block of
     this call builds paths, reuses for its later blocks and drops when the
     call returns; ``block.paths()`` is valid until the next block in that
-    worker builds its own, so the results that are views are copied.  The
-    caller's own stream is not advanced.  An exception raised by per_path
-    reaches the caller.
+    worker builds its own, so the results that are views are copied; the
+    same holds for ``block.scratch``.  The caller's own stream is not
+    advanced.  An exception raised by per_path reaches the caller.
     """
     P = params.bead_count
     centroid = np.asarray(centroid, dtype=float)
@@ -263,14 +286,14 @@ def map_free_ring_paths(
     from concurrent.futures import wait
 
     std = free_ring_mode_std(params)
-    # path buffers of each worker thread, for this call only: a thread runs
-    # one block at a time, so its blocks take turns with them
+    # scratch of each worker thread, by factory, for this call only: a
+    # thread runs one block at a time, so its blocks take turns with it
     scratch = {}
 
-    def buffers():
-        key = threading.get_ident()
+    def buffers(make, *args):
+        key = threading.get_ident(), make
         if key not in scratch:
-            scratch[key] = _path_buffers(rows, P)
+            scratch[key] = make(rows, *args)
         return scratch[key]
 
     def block(child, lo):

@@ -6,7 +6,11 @@ thermal free-particle paths against the quadratic-difference surface,
 reduced block by block through ``paths.map_free_ring_paths`` (on the
 worker pool, each block drawing its own normals, when the ensemble spans
 more than one block at 16 beads or more, or exceeds 8 MB of paths below)
-from the drawn Fourier-mode amplitudes, with no real-space path.
+from the drawn Fourier-mode amplitudes, with no real-space path.  One
+ensemble is drawn at the largest P of a sweep, and each smaller P reads
+the leading P - 1 normals of every path (the coupling of multilevel Monte
+Carlo), so every P is an exact free-ring ensemble and all share common
+random numbers.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import numpy as np
 from .closed_forms import tdiff_figure, tdiff_figure_amplitude
 from .fitting import fit_power_law
 from .params import ThermoParams
-from .paths import SinusoidalPathSpec, map_free_ring_paths, sinusoidal_path
+from .paths import SinusoidalPathSpec, free_ring_mode_std, map_free_ring_paths, sinusoidal_path
 from .surfaces import FourierNormSurface, QuadDiffSurface, mode_factors, surface_factors
 
 DEFAULT_P_SWEEP = tuple(2**k for k in range(4, 13))  # 16 .. 4096
@@ -226,25 +230,46 @@ def quaddiff_orders(
     quadratic-difference surface at phi = QUADDIFF_PHI over thermal
     free-particle paths (default ThermoParams) at each P, then fit exponents.
 
-    n_rule is 'one' (offset 1) or 'half' (offset P/2).
+    n_rule is 'one' (offset 1) or 'half' (offset P/2).  P_list must be
+    strictly increasing, from 2 beads up; it is checked before any draw.
+    One ensemble of n_paths paths is drawn at the largest P.  Each smaller
+    P reads the first P - 1 standard normals of every path (the low modes
+    first, in fourier_mode_basis order) scaled by its own
+    free_ring_mode_std, so it is an exact free-ring ensemble at that P, and
+    all P share common random numbers: the noise of the fitted exponents is
+    correlated across P, not independent.  Each block reduces every P to
+    its sums, so no per-path array outlives its block.
     """
     if n_rule not in ("one", "half"):
         raise ValueError("n_rule must be 'one' or 'half'")
-    rng = np.random.default_rng(seed)
-    mean_b, mean_t, mean_g = [], [], []
+    P_list = [int(P) for P in P_list]
+    if not P_list or P_list[0] < 2 or any(b <= a for a, b in zip(P_list, P_list[1:])):
+        raise ValueError(f"P values must be strictly increasing and at least 2, got {P_list}")
+    top = ThermoParams(bead_count=P_list[-1])
+    std_top = free_ring_mode_std(top)
+    rungs = []
     for P in P_list:
-        n = 1 if n_rule == "one" else P // 2
-        spec = QuadDiffSurface(offset=n, phi=QUADDIFF_PHI)
         pp = ThermoParams(bead_count=P)
+        spec = QuadDiffSurface(offset=1 if n_rule == "one" else P // 2, phi=QUADDIFF_PHI)
+        # takes the top amplitudes of the first P - 1 normals to rung P's;
+        # the top rung reads them as drawn
+        scale = None if pp == top else free_ring_mode_std(pp) / std_top[: P - 1]
+        rungs.append((pp, spec, scale))
 
-        def per_path(block):
-            sf = mode_factors(spec, block.amps, block.centroid, pp)
-            return sf.b_p, np.abs(sf.t_diff(QUADDIFF_K)), np.abs(sf.g_p)
+    def per_block(block):
+        sums = np.empty((3, len(rungs)))
+        # from the top down, so that the first rung to ask for scratch asks
+        # for the most columns
+        for i, (pp, spec, scale) in reversed(list(enumerate(rungs))):
+            a = block.amps
+            if scale is not None:
+                a = np.multiply(a[:, : scale.size], scale, out=block.scratch(scale.size))
+            sf = mode_factors(spec, a, block.centroid, pp)
+            sums[:, i] = np.sum(sf.b_p), np.sum(np.abs(sf.t_diff(QUADDIFF_K))), np.sum(np.abs(sf.g_p))
+        return tuple(sums)
 
-        b, t, g = map_free_ring_paths(pp, n_paths, rng, per_path)
-        mean_b.append(float(np.mean(b)))
-        mean_t.append(float(np.mean(t)))
-        mean_g.append(float(np.mean(g)))
+    sums = map_free_ring_paths(top, n_paths, np.random.default_rng(seed), per_block)
+    mean_b, mean_t, mean_g = (np.reshape(x, (-1, len(rungs))).sum(axis=0) / n_paths for x in sums)
     series = {
         "b_p": ScalingSeries.from_points(f"b_p[{n_rule}]", P_list, mean_b),
         "t_diff": ScalingSeries.from_points(f"t_diff[{n_rule}]", P_list, mean_t),

@@ -2,7 +2,7 @@
 the irfft transform and its rfft inverse, which ensembles stay in the
 calling thread, the per-block random streams, independence of the worker
 count, agreement with dense paths on the same normals, the per-worker path
-buffers, and errors raised inside a worker."""
+and rung buffers, and errors raised inside a worker."""
 import dataclasses
 import sys
 import threading
@@ -256,6 +256,38 @@ def test_quaddiff_orders_makes_no_path_buffers(monkeypatch):
     made = _spy_path_buffers(monkeypatch)
     quaddiff_orders("one", P_list=(128, 256), n_paths=POOLED["n"], seed=5)
     assert made == []
+
+
+def test_quaddiff_orders_makes_rung_buffers_once_per_worker(monkeypatch):
+    """The pooled rungs below the top of one quaddiff_orders call write
+    their amplitudes into at most one buffer per worker thread, none in the
+    calling thread, with the same result as the default pool; an inline
+    draw takes none."""
+
+    def orders(n_paths):
+        rep = quaddiff_orders("one", P_list=(64, 128, 256), n_paths=n_paths, seed=5)
+        return {k: (s.points, s.fitted_exponent) for k, s in rep.series.items()}
+
+    want = orders(POOLED["n"])
+    made = []
+    factory = paths._amp_buffer
+
+    def spy(rows, cols):
+        made.append(threading.get_ident())
+        return factory(rows, cols)
+
+    monkeypatch.setattr(paths, "_amp_buffer", spy)
+    orders(paths.BLOCK_ELEMS // 256)
+    assert made == []
+    pool = ThreadPoolExecutor(max_workers=2)
+    monkeypatch.setattr(paths, "_pool", lambda: pool)
+    try:
+        got = orders(POOLED["n"])
+    finally:
+        pool.shutdown()
+    assert 1 <= len(made) <= 2 and len(set(made)) == len(made)
+    assert threading.get_ident() not in made
+    assert got == want
 
 
 def test_worker_exception_reaches_caller():

@@ -1,10 +1,15 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from ringtst import paths, scaling
 from ringtst.fitting import fit_power_law
 from ringtst.params import ThermoParams
+from ringtst.paths import BLOCK_ELEMS, free_ring_mode_std, map_free_ring_paths
 from ringtst.scaling import (
     DEFAULT_P_SWEEP,
+    QUADDIFF_PHI,
     ModeSchedule,
     ScalingSeries,
     figure1_emit,
@@ -14,6 +19,7 @@ from ringtst.scaling import (
     sumdiff_series,
     tdiff_series,
 )
+from ringtst.surfaces import QuadDiffSurface, mode_factors
 
 PARAMS = ThermoParams()
 
@@ -128,3 +134,91 @@ def test_quaddiff_orders_passing_columns():
 def test_quaddiff_orders_rejects_bad_rule():
     with pytest.raises(ValueError):
         quaddiff_orders("third")
+
+
+@pytest.mark.parametrize(
+    "P_list", [(32, 16, 64), (16, 16, 32), (1, 16, 32), ()], ids=["unsorted", "repeated", "one-bead", "empty"]
+)
+def test_quaddiff_orders_rejects_bad_p_list_before_drawing(monkeypatch, P_list):
+    drawn = []
+    monkeypatch.setattr(scaling, "map_free_ring_paths", lambda *args, **kwargs: drawn.append(args))
+    with pytest.raises(ValueError, match="strictly increasing and at least 2"):
+        quaddiff_orders("one", P_list=P_list, n_paths=100)
+    assert drawn == []
+
+
+# the coupled draw at P_top = 256: one inline block, and ten pooled blocks
+RUNG_P = (16, 32, 64, 128, 256)
+RUNG_N = {"inline": BLOCK_ELEMS // RUNG_P[-1], "pooled": 10 * (BLOCK_ELEMS // RUNG_P[-1])}
+
+
+@pytest.mark.parametrize("n_paths", RUNG_N.values(), ids=RUNG_N.keys())
+def test_quaddiff_half_rungs_give_exact_b_p(n_paths):
+    """Offset P/2 weights the odd modes by 4 and the even ones by 0, so
+    |curv|^2 = 4 N^2, and R = sqrt(2P): every path has
+    B_P = (cos^2 phi + 2 sin^2 phi) / P, 1.5 / P at phi = pi/4, at every
+    rung of the coupled draw."""
+    rep = quaddiff_orders("half", P_list=RUNG_P, n_paths=n_paths, seed=7)
+    assert [P for P, _ in rep.series["b_p"].points] == list(RUNG_P)
+    for P, b in rep.series["b_p"].points:
+        assert b == pytest.approx(1.5 / P, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n_paths", RUNG_N.values(), ids=RUNG_N.keys())
+def test_quaddiff_rungs_read_the_leading_normals(monkeypatch, n_paths):
+    """Rung P evaluates the first P - 1 standard normals of each path of the
+    P_top draw times free_ring_mode_std(P); the top rung evaluates the drawn
+    amplitudes bit for bit; each rung sees every path once."""
+    top = RUNG_P[-1]
+    seen = {P: [] for P in RUNG_P}
+    inner = scaling.mode_factors
+
+    def spy(spec, amps, centroid, params):
+        seen[params.bead_count].append(np.array(amps))
+        return inner(spec, amps, centroid, params)
+
+    monkeypatch.setattr(scaling, "mode_factors", spy)
+    # one worker runs the pooled blocks in draw order
+    pool = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(paths, "_pool", lambda: pool)
+    try:
+        quaddiff_orders("one", P_list=RUNG_P, n_paths=n_paths, seed=5)
+    finally:
+        pool.shutdown()
+    rng = np.random.default_rng(5)
+    rows = BLOCK_ELEMS // top
+    if n_paths <= rows:
+        z = rng.standard_normal((n_paths, top - 1))
+    else:
+        starts = range(0, n_paths, rows)
+        children = rng.spawn(len(starts))
+        z = np.concatenate([c.standard_normal((min(rows, n_paths - lo), top - 1)) for c, lo in zip(children, starts)])
+    for P in RUNG_P:
+        got = np.concatenate(seen[P])
+        assert got.shape == (n_paths, P - 1)
+        want = z[:, : P - 1] * free_ring_mode_std(ThermoParams(bead_count=P))
+        if P == top:
+            assert np.array_equal(got, want)
+        else:
+            assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+
+
+def test_quaddiff_coupled_rungs_are_unbiased():
+    """Each rung of the coupled draw is an exact free-ring ensemble at its
+    own P: its mean B_P and |g_P| agree with an independent single-P draw
+    within 4 combined standard errors (the two have the same per-path
+    spread)."""
+    n = 20_000
+    rep = quaddiff_orders("one", P_list=RUNG_P, n_paths=n, seed=11)
+    for P in (16, 256):
+        pp = ThermoParams(bead_count=P)
+        spec = QuadDiffSurface(offset=1, phi=QUADDIFF_PHI)
+
+        def per_path(block):
+            sf = mode_factors(spec, block.amps, block.centroid, pp)
+            return sf.b_p, np.abs(sf.g_p)
+
+        for key, x in zip(("b_p", "g_p"), map_free_ring_paths(pp, n, np.random.default_rng(12), per_path)):
+            coupled = dict(rep.series[key].points)[P]
+            se = np.std(x, ddof=1) / np.sqrt(n)
+            assert abs(coupled - np.mean(x)) <= 4.0 * np.sqrt(2.0) * se, (P, key)
