@@ -32,9 +32,15 @@ rate and the ratio of a diverged ``rate``, is written as ``null``.
 
 ``rate`` writes ``rate.json``: ``rate_report`` holds both rate products
 with error bars (``kza_rpmd``, ``kza_ha``), their ratio, the divergence
-flag, the three window widths used (``delta_widths``), ``n_samples`` and
-``seed``; ``grid_oracle`` holds the P <= 4 quadrature values, with the
-delta constraint solved exactly for the centroid, or why they were skipped.
+flag, the three window widths used (``delta_widths``: 0.2, 0.1 and 0.05
+sigma_f, the spread of f when the centroid is drawn from
+N(d, beta hbar^2 / m) independently of the amplitudes), ``n_samples`` and
+``seed``.  Each path's centroid is drawn given its amplitudes, so that
+f - d is a normal at least as wide as the widest window, and each rate is
+the zero-width intercept of a line through its window means in the
+squared width.  ``grid_oracle`` holds the P <= 4 quadrature values, with
+the delta constraint solved exactly for the centroid, or why they were
+skipped.
 A Fourier-norm ``surface.mode`` lies in 1 .. P - 1: mode 0 fails
 validation, and a mode of P or more, whose norm depends on the centroid,
 exits 2 before any path is drawn.  The particle mass is ``thermo.mass``

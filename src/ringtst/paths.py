@@ -187,16 +187,18 @@ def mode_amplitudes(q) -> tuple[np.ndarray, np.ndarray]:
 class ModeBlock:
     """A block of paths q = centroid + amps @ fourier_mode_basis(P).T in
     Fourier-mode coordinates: amps is (rows, P - 1), centroid a scalar or
-    one value per row.  A block from the worker pool carries ``buffers``:
-    given a scratch factory (``_path_buffers``, ``_amp_buffer``) and its
-    arguments after the row count, it returns what that factory made for
-    the block's worker thread on the first request of this
-    ``map_free_ring_paths`` call, which the thread reuses for each of its
-    blocks in the call."""
+    one value per row, and ``start`` the index of its first path in the
+    ensemble, in draw order.  A block from the worker pool carries
+    ``buffers``: given a scratch factory (``_path_buffers``,
+    ``_amp_buffer``) and its arguments after the row count, it returns what
+    that factory made for the block's worker thread on the first request of
+    this ``map_free_ring_paths`` call, which the thread reuses for each of
+    its blocks in the call."""
 
     amps: np.ndarray
     centroid: float | np.ndarray
     buffers: Callable[..., object] | None = field(default=None, repr=False)
+    start: int = 0
 
     @property
     def pooled(self) -> bool:
@@ -300,7 +302,7 @@ def map_free_ring_paths(
         hi = min(lo + rows, n_samples)
         z = child.standard_normal((hi - lo, P - 1))
         z *= std
-        out = per_path(ModeBlock(z, centroid if centroid.ndim == 0 else centroid[lo:hi], buffers))
+        out = per_path(ModeBlock(z, centroid if centroid.ndim == 0 else centroid[lo:hi], buffers, lo))
         # views are copied, so that no result reads a buffer the next block
         # reuses; arrays that own their memory are passed on as they are
         return tuple(x if x.base is None else x.copy() for x in map(np.asarray, out))

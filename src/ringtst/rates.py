@@ -13,16 +13,18 @@ Both backends take f and the flux factors of each path from one
 (``integrand_factors`` turns its SurfaceFactors into F_rpmd and F_ha);
 neither calls ``grad_f``.
 
-Monte-Carlo backend: exact normal-mode sampling of the free ring polymer
-with the centroid drawn from a Gaussian proposal, re-weighted by the
-potential factor; real-space paths are built for the potential sum alone.
-An ensemble larger than one block (from 16 beads on) or than 8 MB of paths
-(below) is drawn and evaluated in fixed blocks on a thread pool, each block
-drawing its own normals (``paths.map_free_ring_paths``), with results
-independent of the core count.  The potential is evaluated in place, over
-the paths (for a pooled block, in the path buffer its worker reuses).  The
-delta constraint is realized by Gaussian windows of three fixed widths with
-linear extrapolation to zero width.
+Monte-Carlo backend: exact normal-mode sampling of the free ring polymer,
+with each path's centroid drawn given its amplitudes from a Gaussian
+proposal that puts f - d at s z (z standard normal, s at least the widest
+window), re-weighted by the potential factor over the proposal density;
+real-space paths are built for the potential sum alone.  An ensemble
+larger than one block (from 16 beads on) or than 8 MB of paths (below) is
+drawn and evaluated in fixed blocks on a thread pool, each block drawing
+its own normals (``paths.map_free_ring_paths``), with results independent
+of the core count.  The potential is evaluated in place, over the paths
+(for a pooled block, in the path buffer its worker reuses).  The delta
+constraint is realized by Gaussian windows of three fixed widths, whose
+means are extrapolated to zero width by a line in the squared width.
 
 Grid oracle, P <= 4: a midpoint-rule quadrature over the P - 1 fluctuation
 modes, with the delta constraint solved exactly for the centroid; it covers
@@ -31,7 +33,7 @@ depend on the centroid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,13 +67,15 @@ ORACLE_HALF_WIDTH = 6.0
 # mixing angle of the Fourier-norm surfaces of the sweeps
 SWEEP_PHI = np.pi / 4
 
-# Gaussian window widths, in units of the spread of f over the ensemble
+# Gaussian window widths, in units of sigma_f, the spread of f (see rate_estimates)
 WINDOW_WIDTHS = np.array([0.2, 0.1, 0.05])
 
 # Weights of the per-width window means in the zero-width intercept of
-# their least-squares line in w; scaling every width by sigma_f leaves the
-# intercept unchanged, so one weight vector serves every ensemble.
-INTERCEPT_WEIGHTS = np.linalg.pinv(np.vander(WINDOW_WIDTHS, 2))[1]
+# their least-squares line in w^2: a Gaussian-window mean is even in w,
+# rho + w^2 rho'' / 2 + O(w^4), so a line in w would leave a bias of order
+# w^2.  Scaling every width by sigma_f leaves the intercept unchanged, so
+# one weight vector, (-1/6, 1/2, 2/3), serves every ensemble.
+INTERCEPT_WEIGHTS = np.linalg.pinv(np.vander(WINDOW_WIDTHS**2, 2))[1]
 
 # relative step between neighbouring window means beyond which a sign
 # change in those steps counts as a failed extrapolation
@@ -97,7 +101,12 @@ class WindowExtrapolationError(RuntimeError):
 
 
 def gaussian_window(x, w):
-    return np.exp(-0.5 * (x / w) ** 2) / (w * np.sqrt(2.0 * np.pi))
+    """Normal density of width w at x, in one array of the shape of x / w."""
+    g = np.square(x / w)
+    g *= -0.5
+    np.exp(g, out=g)
+    g /= w * np.sqrt(2.0 * np.pi)
+    return g
 
 
 def ha_log_weight(g, params: ThermoParams):
@@ -125,63 +134,120 @@ def rate_estimates(
     params: ThermoParams,
     n_samples: int = 50_000,
     seed: int = 0,
-    n_batches: int = 20,
+    n_batches: int = 50,
 ) -> RateReport:
     """Monte-Carlo estimates of both rate products from one shared ensemble.
 
-    Free ring polymers are drawn exactly with a Gaussian centroid proposal
-    around d and re-weighted by the potential factor.  The ensemble goes
-    through ``map_free_ring_paths`` once: each block is reduced to the
-    potential sum of its real-space paths, then to f and the flux factors
-    of one ``mode_factors`` pass over its amplitudes, so large ensembles
-    are evaluated in blocks on the worker pool and never held whole.  The
-    delta constraint is a Gaussian window at each of WINDOW_WIDTHS *
-    sigma_f, evaluated once for both flux factors; each rate is the
-    zero-width intercept of the linear fit to its window means, and its
-    error bar comes from the same intercept of n_batches consecutive batch
-    means.  A surface the bead count does not admit is rejected before any
-    number is drawn.
+    Free ring polymers are drawn exactly, and each path's centroid is drawn
+    given its amplitudes, so that its f lands near d.  The ensemble goes
+    through ``map_free_ring_paths`` once.  Each block takes f0 = f at
+    centroid 0 and the flux factors, which do not depend on the centroid,
+    from one ``mode_factors`` pass over its amplitudes, sets the centroids
+    c = (d - f0 + s z) / cos(phi), so that f - d = s z exactly, and reduces
+    its real-space paths to their potential sums; large ensembles are thus
+    evaluated in blocks on the worker pool and never held whole.  z is one
+    standard normal per path, drawn here before the ensemble, and
+    s = WINDOW_WIDTHS[0] * sqrt(cos^2(phi) sigma_c^2 + E[f0^2]), with
+    sigma_c = hbar sqrt(beta / m) and E[f0^2] in closed form, is at least
+    the widest window.  Each path is re-weighted by the potential factor
+    over its proposal density N(c; (d - f0) / cos(phi), (s / cos(phi))^2).
+
+    The delta constraint is a Gaussian window at each of WINDOW_WIDTHS *
+    sigma_f, evaluated once for both flux factors, with
+    sigma_f^2 = cos^2(phi) sigma_c^2 + var(f0): the spread of f when the
+    centroid is drawn from N(d, sigma_c^2) independently of the amplitudes,
+    so the widths do not depend on the proposal.  Window means are even in
+    the width, so each rate is the zero-width intercept of the linear fit
+    of its window means in w^2 (INTERCEPT_WEIGHTS), and its error bar comes
+    from the same intercept of n_batches consecutive batch means.  Every
+    path lands within a few window widths of d, so the batches can be
+    small: 50 of them give the error bar 49 degrees of freedom, and its
+    z-scores nearly normal tails (with 20, Student-t(19) tails: about six
+    times as many 4.5-sigma excursions).  A surface the bead count does not
+    admit is rejected before any number is drawn.
     """
-    _check_order(spec, params.bead_count)
+    P = params.bead_count
+    _check_order(spec, P)
     rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n_samples)
     sigma_c = params.hbar * np.sqrt(params.beta / params.mass)
-    c = d + sigma_c * rng.standard_normal(n_samples)
+    if isinstance(spec, CentroidSurface):
+        cos_phi, mean_f0_sq = 1.0, 0.0
+    else:
+        # E[N^2] = sum_j w_j sigma_j^2 over the free-ring amplitudes
+        cols, W, _ = _mode_weights(spec, P)
+        mean_n_sq = W[:, 0] @ free_ring_mode_std(params)[cols] ** 2
+        cos_phi = float(np.cos(spec.phi))
+        mean_f0_sq = (np.sin(spec.phi) / spec.norm_factor(P)) ** 2 * mean_n_sq
+    s = WINDOW_WIDTHS[0] * np.sqrt(cos_phi**2 * sigma_c**2 + mean_f0_sq)
 
     def per_path(block):
+        rows = slice(block.start, block.start + len(block.amps))
+        f0_sums = np.empty(2)
+
+        def centroids(f0):
+            # (d - f0 + s z) / cos(phi), in one array; the sum and sum of
+            # squares of f0 are kept for sigma_f
+            f0_sums[:] = np.sum(f0), np.vdot(f0, f0)
+            c = np.multiply(z[rows], s)
+            c += d
+            c -= f0
+            c /= cos_phi
+            return c
+
+        sf = mode_factors(spec, block.amps, centroids, params)
+        factors = integrand_factors(sf, params)
+        block = replace(block, centroid=sf.centroid)
+        # the per-path arrays of sf are freed before the paths are built,
+        # which lowers the peak memory of a large inline ensemble
+        del sf
         # the potential overwrites the paths (for a pooled block, its
         # worker's reused buffer) in place
         q = block.paths()
         v = np.sum(pot.value(q, out=q), axis=-1)
-        sf = mode_factors(spec, block.amps, block.centroid, params)
-        return (v, sf.f, *integrand_factors(sf, params))
+        return (v, *factors, f0_sums)
 
-    v_sum, f, F_rpmd, F_ha, lw = map_free_ring_paths(params, n_samples, rng, per_path, centroid=c)
-    log_pi_c = -0.5 * ((c - d) / sigma_c) ** 2 - np.log(sigma_c * np.sqrt(2 * np.pi))
-    # sqrt(m / 2 pi beta hbar^2) e^{-eps sum V} / pi_c(c)
-    log_base = (
-        0.5 * np.log(params.mass / (2.0 * np.pi * params.beta * params.hbar**2))
-        - params.epsilon * v_sum
-        - log_pi_c
+    v_sum, F_rpmd, F_ha, lw, f0_sums = map_free_ring_paths(params, n_samples, rng, per_path)
+    f0_mean, f0_sq = f0_sums.reshape(-1, 2).sum(axis=0) / n_samples
+    sigma_f = np.sqrt(cos_phi**2 * sigma_c**2 + max(f0_sq - f0_mean**2, 0.0))
+    widths = WINDOW_WIDTHS * sigma_f
+    # base weight sqrt(m / 2 pi beta hbar^2) e^{-eps sum V} / pi(c | a), in
+    # place over v_sum, with log pi(c | a) = -z^2 / 2 - log(s sqrt(2 pi) / |cos phi|)
+    base = v_sum
+    base *= -params.epsilon
+    base += 0.5 * np.log(params.mass / (2.0 * np.pi * params.beta * params.hbar**2)) + np.log(
+        s * np.sqrt(2.0 * np.pi) / abs(cos_phi)
     )
-    widths = WINDOW_WIDTHS * float(np.std(f))
-    base_w = np.exp(log_base) * gaussian_window(f - d, widths[:, None])
+    vals = np.square(z)  # (n,) scratch, reused by the windows below
+    vals *= 0.5
+    base += vals
+    np.exp(base, out=base)
+    x = np.multiply(z, s, out=z)  # f - d
     diverged = bool(np.any(lw > OVERFLOW_GUARD))
 
-    pref = np.sqrt(params.bead_count / (2.0 * np.pi * params.mass * params.beta))
+    pref = np.sqrt(P / (2.0 * np.pi * params.mass * params.beta))
     per = n_samples // n_batches
+    factors = (F_rpmd,) if diverged else (F_rpmd, F_ha)
+    means = np.empty((len(factors), len(widths)))
+    batch_means = np.empty((len(factors), len(widths), n_batches))
+    for i, w in enumerate(widths):
+        window = gaussian_window(x, w)
+        window *= base
+        for k, F in enumerate(factors):
+            np.multiply(window, F, out=vals)
+            means[k, i] = vals.mean()
+            batch_means[k, i] = vals[: per * n_batches].reshape(n_batches, per).mean(axis=1)
+
     estimates = []
-    for F in (F_rpmd,) if diverged else (F_rpmd, F_ha):
-        vals = base_w * F
-        means = vals.mean(axis=1)
-        steps = np.diff(means)
-        if means[-1] != 0.0:
-            rel = np.abs(steps) / max(abs(means[-1]), 1e-300)
+    for m, bm in zip(means, batch_means):
+        steps = np.diff(m)
+        if m[-1] != 0.0:
+            rel = np.abs(steps) / max(abs(m[-1]), 1e-300)
             if np.any(np.sign(steps[:-1]) * np.sign(steps[1:]) < 0) and np.max(rel) > MONOTONE_TOL:
                 raise WindowExtrapolationError("window estimates non-monotone beyond tolerance")
-        batch_means = vals[:, : per * n_batches].reshape(len(widths), n_batches, per).mean(axis=2)
-        per_batch = INTERCEPT_WEIGHTS @ batch_means
+        per_batch = INTERCEPT_WEIGHTS @ bm
         err = np.std(per_batch, ddof=1) / np.sqrt(n_batches)
-        estimates.append((pref * (INTERCEPT_WEIGHTS @ means), pref * err, pref * per_batch))
+        estimates.append((pref * (INTERCEPT_WEIGHTS @ m), pref * err, pref * per_batch))
 
     kr, kr_err, kr_batch = estimates[0]
     if diverged:

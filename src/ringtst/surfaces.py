@@ -198,6 +198,7 @@ class SurfaceFactors:
     over the leading axes), all from one evaluation per path.
 
     f:              f(q), the surface value (not offset by d)
+    centroid:       the centroid c of q
     b_p:            B_P = sum_k (df/dq_k)^2
     t_vec:          T_k = (df/dq_k) / sqrt(B_P), same shape as the paths;
                     built on first read
@@ -212,6 +213,7 @@ class SurfaceFactors:
     """
 
     f: np.ndarray
+    centroid: np.ndarray
     b_p: np.ndarray
     flux_sum: np.ndarray
     sum_difference: np.ndarray
@@ -290,16 +292,25 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
     t1 = sin(phi) / (R N): B_P = cos^2(phi) / P + t1^2 |curv|^2 and
     S = t1^2 sum_k (curv_{k+1} - curv_k)^2 / B_P.
 
-    The singular check is grad_f's, with |q|^2 = sum amps^2 + P c^2.
+    The centroid may also be given as a function of f0, the value of f at
+    centroid 0 (sin(phi) N / R, or 0 on the centroid surface), that returns
+    the centroids, as a caller does that solves the surface constraint for
+    them; nothing else depends on the centroid.  The singular check is
+    grad_f's, with |q|^2 = sum amps^2 + P c^2 at the centroids used.
     """
     amps = np.asarray(amps, dtype=float)
     lead, P = amps.shape[:-1], amps.shape[-1] + 1
     _check_order(spec, P)
     a = amps.reshape(-1, P - 1)
     n = a.shape[0]
-    c = np.broadcast_to(np.asarray(centroid, dtype=float), lead).reshape(-1)
+
+    def centroids(f0):
+        c = centroid(f0) if callable(centroid) else centroid
+        return np.broadcast_to(np.asarray(c, dtype=float), lead).reshape(-1)
+
     mu = None
     if isinstance(spec, CentroidSurface):
+        c = centroids(0.0)
         f, B, t0, t1 = c.copy(), np.full(n, 1.0 / P), 1.0 / P, 0.0
         S, link = 0.0, 0.0
     else:
@@ -309,13 +320,15 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
         a_w = a[:, cols]
         N2, curv2, dcurv2, link = (np.square(a_w) @ W).T
         N = np.sqrt(N2)
-        _raise_if_singular(N, a, c)
         R = spec.norm_factor(P)
+        f0 = sin_phi * N / R
+        c = centroids(f0)
+        _raise_if_singular(N, a, c)
         t1 = sin_phi / (R * N)
         B = cos_phi**2 / P + t1**2 * curv2
         S = t1**2 * dcurv2 / B
         link = t1 * link
-        f = cos_phi * c + sin_phi * N / R
+        f = cos_phi * c + f0
     root = np.sqrt(B)
     sum_diff = -0.25 * root * S
     # the link sum of the unit vector T is that of the gradient over sqrt(B_P)
@@ -327,6 +340,7 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
 
     return SurfaceFactors(
         f=shaped(f),
+        centroid=shaped(c),
         b_p=shaped(B),
         flux_sum=shaped(root + sum_diff),
         sum_difference=shaped(sum_diff),

@@ -589,14 +589,16 @@ def test_numerical_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, 
 
 
 def test_window_extrapolation_failure_exits_2(tmp_path, capsys):
+    # deep tunnelling (beta V0 = 32): a few paths carry the whole weight, so
+    # the window means of 200 paths zig-zag (at about one seed in four)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         "command: rate\n"
-        "thermo: {beta: 4.0, bead_count: 8}\n"
-        "potential: {kind: eckart}\n"
-        "surface: {kind: quad_diff, offset: 1, phi: 1.4}\n"
+        "thermo: {beta: 8.0, bead_count: 8}\n"
+        "potential: {kind: double_well, v0: 4.0, q0: 1.0}\n"
+        "surface: {kind: centroid}\n"
         "d: 0.5\n"
-        "n_samples: 5000\n"
+        "n_samples: 200\n"
         "seed: 0\n"
     )
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reference import divergence_probe, eta0_factor_closed, eta0_factor_quadrature, f_eval
-from ringtst import rates
+from ringtst import paths, rates
 from ringtst.params import ThermoParams
 from ringtst.paths import fourier_mode_basis, free_ring_amplitudes, map_free_ring_paths
 from ringtst.potentials import Eckart, FreeParticle, Harmonic
@@ -34,24 +34,35 @@ def exact_centroid_rate(P, beta=1.0, m=1.0, hbar=1.0, omega=1.0):
 
 
 def test_window_reduction_matches_per_width_polyfit():
-    # the same ensemble, windowed one width at a time, each rate the
-    # np.polyfit zero-width intercept of its window means and its error bar
-    # the spread of the per-batch polyfit intercepts
+    # the same ensemble, rebuilt from real-space paths: each centroid drawn
+    # given its amplitudes so that f - d = s z, the windows taken one width
+    # at a time, each rate the np.polyfit zero-width intercept of its window
+    # means in w^2 and its error bar the spread of the per-batch intercepts
     pot, spec, d = Eckart(), QuadDiffSurface(offset=1, phi=np.pi / 4), 0.1
     params = ThermoParams(bead_count=8)
-    n, n_batches, seed = 20_000, 20, 1
+    P, n, n_batches, seed = 8, 20_000, 20, 1
+    cos_phi, sin_phi = np.cos(spec.phi), np.sin(spec.phi)
     rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n)
+    xi = free_ring_amplitudes(params, n, rng) @ fourier_mode_basis(P).T
+    f0 = f_eval(spec, xi)  # f at centroid 0
     sigma_c = params.hbar * np.sqrt(params.beta / params.mass)
-    c = d + sigma_c * rng.standard_normal(n)
-    q = free_ring_amplitudes(params, n, rng) @ fourier_mode_basis(8).T + c[:, None]
-    log_pi_c = -0.5 * ((c - d) / sigma_c) ** 2 - np.log(sigma_c * np.sqrt(2 * np.pi))
+    # free ring: E[(q_k - q_{k+1})^2] = beta hbar^2 (P - 1) / (m P^2), so
+    # E[D_1^2] = beta hbar^2 (P - 1) / (m P)
+    mean_d2 = params.beta * params.hbar**2 * (P - 1) / (params.mass * P)
+    s = 0.2 * np.sqrt(cos_phi**2 * sigma_c**2 + sin_phi**2 * mean_d2 / spec.norm_factor(P) ** 2)
+    c_mean, c_std = (d - f0) / cos_phi, s / abs(cos_phi)
+    c = c_mean + c_std * z
+    q = xi + c[:, None]
+    log_pi_c = -0.5 * ((c - c_mean) / c_std) ** 2 - np.log(c_std * np.sqrt(2 * np.pi))
     log_base = (
         0.5 * np.log(params.mass / (2.0 * np.pi * params.beta * params.hbar**2))
         - params.epsilon * np.sum(pot.value(q), axis=-1)
         - log_pi_c
     )
     f = f_eval(spec, q)
-    widths = np.array([0.2, 0.1, 0.05]) * np.std(f)
+    # the widths: the spread of f with the centroid drawn from N(d, sigma_c^2)
+    widths = np.array([0.2, 0.1, 0.05]) * np.sqrt(cos_phi**2 * sigma_c**2 + np.var(f0))
     F_rpmd, F_ha, _ = integrand_factors(surface_factors(spec, q, params), params)
     pref = np.sqrt(params.bead_count / (2.0 * np.pi * params.mass * params.beta))
     per = n // n_batches
@@ -63,8 +74,8 @@ def test_window_reduction_matches_per_width_polyfit():
             est.append(np.mean(vals))
             batch.append(vals[: per * n_batches].reshape(n_batches, per).mean(axis=1))
         batch = np.array(batch)
-        value = np.polyfit(widths, est, 1)[1]
-        per_batch = np.array([np.polyfit(widths, batch[:, b], 1)[1] for b in range(n_batches)])
+        value = np.polyfit(widths**2, est, 1)[1]
+        per_batch = np.array([np.polyfit(widths**2, batch[:, b], 1)[1] for b in range(n_batches)])
         return pref * value, pref * np.std(per_batch, ddof=1) / np.sqrt(n_batches), per_batch
 
     kr, kr_err, kr_batch = reduce(F_rpmd)
@@ -82,7 +93,56 @@ def test_window_reduction_matches_per_width_polyfit():
     }
     for key, value in expected.items():
         assert getattr(rep, key) == pytest.approx(value, rel=1e-12, abs=0.0), key
-    assert rep.delta_widths == pytest.approx(widths, rel=1e-15)
+    assert rep.delta_widths == pytest.approx(widths, rel=1e-12)
+
+
+def free_ring_mean_norm_sq(spec, P, beta=1.0, m=1.0, hbar=1.0):
+    """E[N^2] of the surface's norm term over free ring polymers, from the
+    bridge variance E[(q_j - q_k)^2] = (beta hbar^2 / m) r (P - r) / P^2,
+    r = (j - k) mod P: D_n^2 sums n-apart differences, and
+    L_n^2 = |sum_j e^{i theta j} q_j|^2 = -1/2 sum_jk cos(theta (j - k)) (q_j - q_k)^2."""
+    r = np.arange(P)
+    bridge = beta * hbar**2 / m * r * (P - r) / P**2
+    if isinstance(spec, QuadDiffSurface):
+        return P * bridge[spec.offset]
+    return -0.5 * P * np.sum(np.cos(2.0 * np.pi * spec.mode * r / P) * bridge)
+
+
+@pytest.mark.parametrize("P, n", [(8, 2_000), (256, 5_000)], ids=["inline", "pooled"])
+@pytest.mark.parametrize(
+    "spec",
+    [CentroidSurface(), FourierNormSurface(mode=2, phi=0.5), QuadDiffSurface(offset=3, phi=0.7)],
+    ids=["centroid", "fourier", "quaddiff"],
+)
+def test_centroid_draw_puts_f_at_d_plus_s_z(monkeypatch, spec, P, n):
+    """Every path the estimator builds has f(q) - d = s z, with z the
+    seed's first n normals and s = 0.2 sqrt(cos^2 phi sigma_c^2 + E[f0^2])
+    (f0 = sin(phi) N / R, f at centroid 0), read back from the real-space
+    paths through surface_factors."""
+    blocks = []
+    inner = paths.ModeBlock.paths
+
+    def spy(block):
+        q = inner(block)
+        blocks.append((block.start, block.pooled, q.copy()))
+        return q
+
+    monkeypatch.setattr(paths.ModeBlock, "paths", spy)
+    params, d, seed = ThermoParams(beta=1.5, bead_count=P), 0.2, 3
+    rate_estimates(Eckart(), spec, d, params, n_samples=n, seed=seed)
+    blocks.sort(key=lambda b: b[0])
+    assert {pooled for _, pooled, _ in blocks} == {P > 8}
+    q = np.concatenate([b[2] for b in blocks])
+    assert q.shape == (n, P)
+    z = np.random.default_rng(seed).standard_normal(n)
+    sigma_c_sq = params.hbar**2 * params.beta / params.mass
+    if isinstance(spec, CentroidSurface):
+        s = 0.2 * np.sqrt(sigma_c_sq)
+    else:
+        f0_sq = np.sin(spec.phi) ** 2 * free_ring_mean_norm_sq(spec, P, beta=1.5) / spec.norm_factor(P) ** 2
+        s = 0.2 * np.sqrt(np.cos(spec.phi) ** 2 * sigma_c_sq + f0_sq)
+    f = surface_factors(spec, q).f
+    assert np.max(np.abs(f - d - s * z)) < 1e-10
 
 
 def test_free_particle_mc_oracle():
@@ -152,16 +212,17 @@ def test_mc_matches_grid_oracle_harmonic():
     assert abs(rep.kza_rpmd - grid) < max(2 * rep.kza_rpmd_err, 0.05 * grid)
 
 
-@pytest.mark.parametrize(
-    "pot, spec, d, P",
-    [
-        (Eckart(), QuadDiffSurface(offset=1, phi=np.pi / 4), 0.1, 3),
-        (Eckart(), FourierNormSurface(mode=1, phi=0.5), 0.0, 3),
-        (Harmonic(omega=1.0), QuadDiffSurface(offset=1, phi=np.pi / 4), 0.3, 4),
-        (Eckart(), QuadDiffSurface(offset=2, phi=0.7), 0.0, 4),
-    ],
-    ids=["eckart-quaddiff1-P3", "eckart-fourier1-P3", "harmonic-quaddiff1-P4", "eckart-quaddiff2-P4"],
-)
+# surfaces where the two rates differ, at bead counts the grid oracle takes
+ORACLE_CASES = [
+    (Eckart(), QuadDiffSurface(offset=1, phi=np.pi / 4), 0.1, 3),
+    (Eckart(), FourierNormSurface(mode=1, phi=0.5), 0.0, 3),
+    (Harmonic(omega=1.0), QuadDiffSurface(offset=1, phi=np.pi / 4), 0.3, 4),
+    (Eckart(), QuadDiffSurface(offset=2, phi=0.7), 0.0, 4),
+]
+ORACLE_IDS = ["eckart-quaddiff1-P3", "eckart-fourier1-P3", "harmonic-quaddiff1-P4", "eckart-quaddiff2-P4"]
+
+
+@pytest.mark.parametrize("pot, spec, d, P", ORACLE_CASES, ids=ORACLE_IDS)
 def test_mc_matches_grid_oracle_non_centroid(pot, spec, d, P):
     params = ThermoParams(bead_count=P)
     grid = grid_oracle_rate(pot, spec, d, params)
@@ -169,6 +230,27 @@ def test_mc_matches_grid_oracle_non_centroid(pot, spec, d, P):
     assert abs(rep.kza_ha / rep.kza_rpmd - 1.0) > 0.1  # a surface where the two rates differ
     for key in ("kza_rpmd", "kza_ha"):
         assert abs(getattr(rep, key) - grid[key]) < 4 * getattr(rep, f"{key}_err"), key
+
+
+@pytest.mark.parametrize(
+    "pot, spec, d, P",
+    [
+        *ORACLE_CASES,
+        (Harmonic(omega=1.0), CentroidSurface(), 0.0, 3),
+    ],
+    ids=[*ORACLE_IDS, "harmonic-centroid-P3"],
+)
+def test_mc_unbiased_against_grid_oracle(pot, spec, d, P):
+    """The mean of 16 seeds lies within 3 of its standard errors, and within
+    0.3 %, of the grid oracle: no bias left at the width of the windows."""
+    params = ThermoParams(bead_count=P)
+    grid = grid_oracle_rate(pot, spec, d, params)
+    reps = [rate_estimates(pot, spec, d, params, n_samples=200_000, seed=seed) for seed in range(16)]
+    for key in ("kza_rpmd", "kza_ha"):
+        vals = np.array([getattr(rep, key) for rep in reps])
+        mean, sem = vals.mean(), vals.std(ddof=1) / np.sqrt(vals.size)
+        assert abs(mean - grid[key]) < 3 * sem, (key, (mean - grid[key]) / sem)
+        assert abs(mean / grid[key] - 1.0) < 0.003, (key, mean / grid[key] - 1.0)
 
 
 def test_grid_oracle_rejects_large_P():
