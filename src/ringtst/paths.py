@@ -4,22 +4,23 @@ A path is a plain 1-D numpy array of length P; index k is bead k with
 cyclic wrap-around (index P is bead 0 again).
 
 The exact free ring-polymer sampler draws the P - 1 fluctuation amplitudes
-of ``fourier_mode_basis`` as scaled normals (``free_ring_amplitudes``); a
-``ModeBlock`` holds them with the centroids, and builds the real-space
-paths only when a caller asks for them.  ``map_free_ring_paths`` hands an
-ensemble of at most BLOCK_ELEMS path elements (1 MB), or of fewer than
-POOL_MIN_BEADS beads and at most INLINE_ELEMS elements (8 MB), over in one
-block drawn in the calling thread, whose paths are one dense matmul.
-Larger ensembles run on a thread pool in blocks of BLOCK_ELEMS elements:
-each block draws its own normals in its worker, from its own child of the
-caller's generator (``rng.spawn``), and reduces them to per-path values
-or per-block sums, building its paths, if asked, with ``np.fft.irfft``
-into a spectrum and a path array, and any amplitudes the caller derives
-into an amplitude buffer (``ModeBlock.scratch``), which each worker thread
-reuses for every block of the call, so the whole ensemble is never held at
-once and no block allocates path-sized scratch of its own.  Block boundaries are fixed by BLOCK_ELEMS and each
-child is tied to a block index, so the results do not depend on the number
-of cores.  ``mode_amplitudes`` is the inverse map, from real-space paths
+of ``fourier_mode_basis`` as scaled normals (``free_ring_amplitudes``, the
+one draw of every ensemble); a ``ModeBlock`` holds them with the
+centroids, and builds the real-space paths only when a caller asks for
+them.  ``map_free_ring_paths`` hands an ensemble of at most BLOCK_ELEMS
+path elements (1 MB), or of fewer than POOL_MIN_BEADS beads and at most
+INLINE_ELEMS elements (8 MB), over in one block drawn in the calling
+thread, whose paths are one dense matmul.  Larger ensembles run on a
+thread pool in blocks of BLOCK_ELEMS elements: each block draws its own
+amplitudes in its worker, from its own child of the caller's generator
+(``rng.spawn``), and reduces them to per-path values or per-block sums,
+building its paths, if asked, with ``np.fft.irfft`` into a spectrum and a
+path array, and any amplitudes the caller derives into an amplitude
+buffer (``ModeBlock.scratch``), which each worker thread reuses for every
+block of the call, so the whole ensemble is never held at once and no
+block allocates path-sized scratch of its own.  Block boundaries are
+fixed by BLOCK_ELEMS and each child is tied to a block index, so the
+results do not depend on the number of cores.  ``mode_amplitudes`` is the inverse map, from real-space paths
 back to their amplitudes and centroids.
 """
 from __future__ import annotations
@@ -118,9 +119,12 @@ def free_ring_amplitudes(params: ThermoParams, n_samples: int, rng: np.random.Ge
     The spring weight exp(-(mP / 2 beta hbar^2) sum (q_k - q_{k+1})^2) is
     Gaussian in the Fourier modes; each non-centroid mode amplitude has
     variance beta hbar^2 / (m P lambda_l), so a row is one row of standard
-    normals times free_ring_mode_std.
+    normals times free_ring_mode_std, scaled in place.  Every ensemble,
+    inline or pooled, is drawn here.
     """
-    return rng.standard_normal((n_samples, params.bead_count - 1)) * free_ring_mode_std(params)
+    z = rng.standard_normal((n_samples, params.bead_count - 1))
+    z *= free_ring_mode_std(params)
+    return z
 
 
 def _spectrum_scale(P: int) -> np.ndarray:
@@ -270,8 +274,8 @@ def map_free_ring_paths(
     POOL_MIN_BEADS beads and at most INLINE_ELEMS elements, it is one block,
     ``free_ring_amplitudes(params, n_samples, rng)`` in the calling thread.
     Otherwise block i holds BLOCK_ELEMS // P paths (the last one the rest)
-    and runs on the pool: its worker draws the normals from
-    ``rng.spawn(n_blocks)[i]``, scales them by ``free_ring_mode_std`` and
+    and runs on the pool: its worker draws them with
+    ``free_ring_amplitudes(params, rows, rng.spawn(n_blocks)[i])`` and
     applies per_path.  A pooled block's paths are built into a spectrum and
     a path array that its worker thread creates when its first block of
     this call builds paths, reuses for its later blocks and drops when the
@@ -287,7 +291,6 @@ def map_free_ring_paths(
         return tuple(per_path(ModeBlock(free_ring_amplitudes(params, n_samples, rng), centroid)))
     from concurrent.futures import wait
 
-    std = free_ring_mode_std(params)
     # scratch of each worker thread, by factory, for this call only: a
     # thread runs one block at a time, so its blocks take turns with it
     scratch = {}
@@ -300,8 +303,7 @@ def map_free_ring_paths(
 
     def block(child, lo):
         hi = min(lo + rows, n_samples)
-        z = child.standard_normal((hi - lo, P - 1))
-        z *= std
+        z = free_ring_amplitudes(params, hi - lo, child)
         out = per_path(ModeBlock(z, centroid if centroid.ndim == 0 else centroid[lo:hi], buffers, lo))
         # views are copied, so that no result reads a buffer the next block
         # reuses; arrays that own their memory are passed on as they are

@@ -1,7 +1,9 @@
 """One-dimensional model potentials.
 
-Each potential exposes ``value``, vectorized over numpy arrays.  No
-estimator needs forces, since every path is an exact free-ring draw.
+Each potential exposes ``value``, vectorized over numpy arrays, and
+computes it by one sequence of in-place ufuncs, into a given array (the
+argument itself, for the rate estimators' path blocks) or a fresh one.
+No estimator needs forces, since every path is an exact free-ring draw.
 """
 from __future__ import annotations
 
@@ -12,23 +14,29 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Potential:
-    """Base class; subclasses fill in value.
+    """Base class; subclasses fill in ``_into``.
 
     ``value(x, out=None)`` is V at every element of x.  Given ``out``, an
     array of x's shape that may be x itself, it writes V into ``out`` and
-    returns it, applying the same ufuncs in the same order as without, so
-    the values are bit-identical; no temporary of x's size is made.
+    returns it; otherwise into a fresh array, or a numpy scalar for a
+    scalar x.  ``_into(x, out)`` is one sequence of in-place ufuncs, so
+    the values are the same bits wherever they are written, and no
+    temporary of x's size is made.
     """
 
     def value(self, x, out=None):
+        x = np.asarray(x, dtype=float)
+        if out is not None:
+            return self._into(x, out)
+        return self._into(x, np.empty_like(x))[()]
+
+    def _into(self, x, out):
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class FreeParticle(Potential):
-    def value(self, x, out=None):
-        if out is None:
-            return np.zeros_like(np.asarray(x, dtype=float))
+    def _into(self, x, out):
         out[...] = 0.0
         return out
 
@@ -40,9 +48,7 @@ class Harmonic(Potential):
     omega: float = 1.0
     mass: float = 1.0
 
-    def value(self, x, out=None):
-        if out is None:
-            return 0.5 * self.mass * self.omega**2 * np.asarray(x, dtype=float) ** 2
+    def _into(self, x, out):
         np.square(x, out=out)
         return np.multiply(0.5 * self.mass * self.omega**2, out, out=out)
 
@@ -54,9 +60,7 @@ class Eckart(Potential):
     v0: float = 1.0
     a: float = 1.0
 
-    def value(self, x, out=None):
-        if out is None:
-            return self.v0 / np.cosh(np.asarray(x, dtype=float) / self.a) ** 2
+    def _into(self, x, out):
         np.divide(x, self.a, out=out)
         np.cosh(out, out=out)
         np.square(out, out=out)
@@ -70,10 +74,7 @@ class DoubleWell(Potential):
     v0: float = 1.0
     q0: float = 1.0
 
-    def value(self, x, out=None):
-        if out is None:
-            u = (np.asarray(x, dtype=float) / self.q0) ** 2 - 1.0
-            return self.v0 * u**2
+    def _into(self, x, out):
         np.divide(x, self.q0, out=out)
         np.square(out, out=out)
         np.subtract(out, 1.0, out=out)

@@ -164,10 +164,13 @@ def rate_estimates(
     small: 50 of them give the error bar 49 degrees of freedom, and its
     z-scores nearly normal tails (with 20, Student-t(19) tails: about six
     times as many 4.5-sigma excursions).  A surface the bead count does not
-    admit is rejected before any number is drawn.
+    admit is rejected before any number is drawn, and so is an ensemble of
+    fewer paths than batches, which would leave batches empty.
     """
     P = params.bead_count
     _check_order(spec, P)
+    if n_samples < n_batches:
+        raise ValueError(f"n_samples = {n_samples} is below n_batches = {n_batches}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_samples)
     sigma_c = params.hbar * np.sqrt(params.beta / params.mass)

@@ -22,14 +22,15 @@ The surfaces are cyclically invariant, so both non-centroid families read
 f = cos(phi) c + sin(phi) N / R with N^2 a weighted sum of squared
 amplitudes, and one code path evaluates them, with no real-space pass.
 ``surface_factors`` takes real-space paths to the same evaluator through
-one centred rfft.  ``g_p`` keeps the cyclic form of g_P, from the
-gradient ``grad_f``, as an independent cross-check; no ensemble calls them.
+one centred rfft, and ``grad_f`` reads the gradient sqrt(B_P) T off the
+same pass.  ``g_p`` keeps the cyclic form of g_P, a bead sum over the
+irfft-built T, as a cross-check of the closed-form link sum; no ensemble
+calls them.  The real-space reference of every quantity lives in the tests.
 
 A Fourier-norm mode n lies in 1 .. P - 1 (``_check_order``): mode P, like
-mode 0, has L_n = P |c|, a norm that depends on the centroid.  The
-Fourier-mode sums of L_n are taken over q - qbar: the cosine and sine
-columns sum to zero, so the value is the same, but the rounding follows
-the fluctuations of the path rather than |q|.
+mode 0, has L_n = P |c|, a norm that depends on the centroid.  The rfft
+is taken of q - qbar, so the rounding of the amplitudes follows the
+fluctuations of the path rather than |q|.
 """
 from __future__ import annotations
 
@@ -123,69 +124,25 @@ def _check(spec: Surface, q) -> np.ndarray:
     return q
 
 
-def _rowdot(a, b):
-    """sum_k a_k b_k over the last axis."""
-    return np.einsum("...k,...k->...", a, b)
-
-
-def _mode_sums(q: np.ndarray, n: int):
-    """(C, S) = (q - qbar) @ basis over the last axis, and the (P, 2) basis
-    with columns cos(2 pi n j / P) and sin(2 pi n j / P); the angle is
-    reduced as (n j) mod P before it is scaled.  Centring is exact, since
-    each basis column sums to zero, and rounds at the scale of the
-    fluctuations."""
-    P = q.shape[-1]
-    ang = 2.0 * np.pi * ((n * np.arange(P)) % P) / P
-    basis = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    return (q - np.mean(q, axis=-1, keepdims=True)) @ basis, basis
-
-
-def _singular(norm, q_sq) -> np.ndarray:
-    """True where the norm term is below the floor relative to max(1, |q|),
-    given |q|^2."""
-    return norm <= _NORM_FLOOR * np.maximum(1.0, np.sqrt(q_sq))
-
-
 def _raise_if_singular(norm, amps, centroid) -> None:
-    """grad_f's singular check on paths given in Fourier-mode coordinates,
-    where |q|^2 = sum amps^2 + P c^2 (the basis is orthonormal and
-    orthogonal to the constant path)."""
+    """Raise SingularSurfaceError where the norm term is at most _NORM_FLOOR
+    times max(1, |q|), with |q|^2 = sum amps^2 + P c^2 (the basis is
+    orthonormal and orthogonal to the constant path)."""
     P = amps.shape[-1] + 1
-    if np.any(_singular(norm, _rowdot(amps, amps) + P * centroid**2)):
+    q_sq = np.einsum("...k,...k->...", amps, amps) + P * centroid**2
+    if np.any(norm <= _NORM_FLOOR * np.maximum(1.0, np.sqrt(q_sq))):
         raise SingularSurfaceError("surface norm term vanishes on this path")
 
 
 def grad_f(spec: Surface, q):
-    """Gradient of f with respect to each bead (last axis).
-
-    The norm term is computed once; the singular check reads the same norm,
-    and raises SingularSurfaceError where it vanishes.
-    """
+    """Gradient of f with respect to each bead (last axis), sqrt(B_P) T from
+    one ``surface_factors`` pass, which raises SingularSurfaceError where
+    the norm term vanishes.  The centroid surface's gradient is 1 / P."""
     q = _check(spec, q)
-    P = q.shape[-1]
     if isinstance(spec, CentroidSurface):
-        return np.broadcast_to(1.0 / P, q.shape).copy()
-    if isinstance(spec, FourierNormSurface):
-        cs, basis = _mode_sums(q, spec.mode)
-        L = np.hypot(cs[..., 0], cs[..., 1])
-        if np.any(_singular(L, _rowdot(q, q))):
-            raise SingularSurfaceError("surface norm term vanishes on this path")
-        # sum_j cos(2 pi n (k - j)/P) q_j = cos(ang_k) C + sin(ang_k) S
-        g = cs @ basis.T
-        g *= np.sqrt(2.0) * np.sin(spec.phi)
-        g /= P * L[..., None]
-    else:
-        n = spec.offset
-        diff = q - np.roll(q, -n, axis=-1)
-        D = np.sqrt(_rowdot(diff, diff))
-        if np.any(_singular(D, _rowdot(q, q))):
-            raise SingularSurfaceError("surface norm term vanishes on this path")
-        # 2 q_j - q_{j+n} - q_{j-n} = diff_j - diff_{j-n}
-        g = diff - np.roll(diff, n, axis=-1)
-        g *= np.sin(spec.phi)
-        g /= spec.norm_factor(P) * D[..., None]
-    g += np.cos(spec.phi) / P
-    return g
+        return np.broadcast_to(1.0 / q.shape[-1], q.shape).copy()
+    sf = surface_factors(spec, q)
+    return np.sqrt(sf.b_p)[..., None] * sf.t_vec
 
 
 def _g_p_coef(params: ThermoParams, P: int) -> float:
@@ -295,8 +252,9 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
     The centroid may also be given as a function of f0, the value of f at
     centroid 0 (sin(phi) N / R, or 0 on the centroid surface), that returns
     the centroids, as a caller does that solves the surface constraint for
-    them; nothing else depends on the centroid.  The singular check is
-    grad_f's, with |q|^2 = sum amps^2 + P c^2 at the centroids used.
+    them; nothing else depends on the centroid.  Where N is at most 1e-12
+    of max(1, |q|), with |q| at the centroids used, it raises
+    SingularSurfaceError.
     """
     amps = np.asarray(amps, dtype=float)
     lead, P = amps.shape[:-1], amps.shape[-1] + 1
@@ -365,17 +323,17 @@ def g_p(spec: Surface, q, params: ThermoParams):
 
         (m P / 2 beta hbar) sum_k (q_k - qbar) (T_{k-1} - T_k),
 
-    the independent cross-check of the link form
+    the cross-check of the link form
     (m P / 2 beta hbar) sum_k (q_{k+1} - q_k) T_k that ``surface_factors``
     returns as ``SurfaceFactors.g_p``.  The two are identical by cyclic
-    re-summation.  This form normalizes the gradient and rolls T itself.
-    Subtracting the centroid qbar changes nothing exactly, since
-    sum_k (T_{k-1} - T_k) = 0, but keeps the rounding at the scale of the
-    fluctuations rather than of |q|.
+    re-summation: the link form is a closed form in the mode amplitudes,
+    while this one rolls the real-space T that ``SurfaceFactors.t_vec``
+    builds with irfft and sums over the beads.  Subtracting the centroid
+    qbar changes nothing exactly, since sum_k (T_{k-1} - T_k) = 0, but
+    keeps the rounding at the scale of the fluctuations rather than of |q|.
     """
     q = _check(spec, q)
-    g = grad_f(spec, q)
-    T = g / np.sqrt(np.sum(g**2, axis=-1, keepdims=True))
+    T = surface_factors(spec, q).t_vec
     coef = _g_p_coef(params, q.shape[-1])
     dq = q - np.mean(q, axis=-1, keepdims=True)
     return coef * np.sum(dq * (np.roll(T, 1, axis=-1) - T), axis=-1)

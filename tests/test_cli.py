@@ -217,14 +217,26 @@ def test_scaling_half_mode_schedule(tmp_path):
     assert len(doc["series"]) == 4
 
 
-def test_surface_check_command(tmp_path):
+@pytest.mark.parametrize(
+    "surface",
+    [
+        "{kind: fourier_norm, mode: 3, phi: 0.7}",
+        "{kind: fourier_norm, mode: 8, phi: 0.7}",  # the Nyquist mode at P = 16
+        "{kind: quad_diff, offset: 1, phi: 0.7}",
+        "{kind: quad_diff, offset: 8, phi: 0.7}",
+    ],
+    ids=["fourier3", "fourier8", "quaddiff1", "quaddiff8"],
+)
+def test_surface_check_command(tmp_path, surface):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("command: surface-check\nsurface: {kind: fourier_norm, mode: 3, phi: 0.7}\n")
+    cfg.write_text(f"command: surface-check\nsurface: {surface}\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "surface_check.json").read_text())
+    assert doc["bead_count"] == 16
     assert doc["max_rel_gp_form_mismatch"] < 1e-10
     assert doc["max_unit_norm_deviation"] < 1e-12
-    assert doc["b_p_std"] < 1e-12  # path independent for this surface family
+    if "fourier_norm" in surface:
+        assert doc["b_p_std"] < 1e-12  # path independent for this surface family
     assert "config_sha256" in doc
     assert doc["library_version"] == ringtst.__version__ != "0.0.0"
     assert doc["schema_version"] == 1

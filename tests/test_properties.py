@@ -2,7 +2,7 @@
 cyclic invariance of f and of the ring-polymer density, and the gradient
 of f against central finite differences."""
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reference import f_eval, fourier_mode_norm, quad_diff_norm
@@ -76,8 +76,16 @@ def test_log_rho_ring_cyclic_invariance(P, pot, beta, data):
     assert abs(moved - base) <= 1e-13 * scale
 
 
+def offset_path(P, seed):
+    return 2.5 + 0.8 * np.random.default_rng(seed).standard_normal(P)
+
+
 @settings(max_examples=60, deadline=None)
 @given(surface_path_shift(max_beads=32))
+# the Nyquist mode, mode P - 1 and offset P / 2, on paths away from the origin
+@example((FourierNormSurface(mode=8, phi=0.6), offset_path(16, 11), 1))
+@example((FourierNormSurface(mode=8, phi=-1.2), offset_path(9, 12), 1))
+@example((QuadDiffSurface(offset=6, phi=0.9), offset_path(12, 13), 1))
 def test_grad_f_matches_central_differences(case):
     spec, q, _ = case
     # the norm term's curvature grows like 1 / norm: keep clear of its kink

@@ -268,6 +268,16 @@ def test_grid_oracle_rejects_centroid_dependent_mode(mode):
         grid_oracle_rate(Harmonic(omega=1.0), FourierNormSurface(mode=mode, phi=0.5), 0.0, params)
 
 
+def test_rate_estimates_rejects_fewer_samples_than_batches(monkeypatch):
+    # 30 paths in 50 batches would leave the batches empty and the error bar NaN
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew paths")
+
+    monkeypatch.setattr(rates, "map_free_ring_paths", no_draw)
+    with pytest.raises(ValueError, match="n_samples = 30 is below n_batches = 50"):
+        rate_estimates(Harmonic(omega=1.0), CentroidSurface(), 0.0, ThermoParams(bead_count=4), n_samples=30)
+
+
 def test_centroid_degeneracy_per_configuration():
     params = ThermoParams(bead_count=12)
     rng = np.random.default_rng(8)

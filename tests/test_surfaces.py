@@ -197,9 +197,18 @@ def test_tdiff_figure_series_spot_value():
     assert abs(float(tdiff_figure(16, 4, k=2, alpha=0.0))) == pytest.approx(0.7071068, abs=1e-7)
 
 
-def test_singular_surface_raises():
-    spec = FourierNormSurface(mode=3, phi=np.pi / 4)
-    q = np.ones(16)  # constant path has zero mode norm for n >= 1
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FourierNormSurface(mode=3, phi=np.pi / 4),
+        FourierNormSurface(mode=8, phi=np.pi / 4),
+        QuadDiffSurface(offset=1, phi=np.pi / 4),
+        QuadDiffSurface(offset=8, phi=np.pi / 4),
+    ],
+    ids=_ids,
+)
+def test_singular_surface_raises(spec):
+    q = np.ones(16)  # a constant path has zero norm term on every surface
     with pytest.raises(SingularSurfaceError):
         grad_f(spec, q)
     # f itself still evaluates
