@@ -31,7 +31,6 @@ from .surfaces import (
     SurfaceFactors,
     equivalence_diagnostics,
     g_p,
-    grad_f,
     surface_factors,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "SingularSurfaceError",
     "SurfaceFactors",
     "surface_factors",
-    "grad_f",
     "g_p",
     "equivalence_diagnostics",
     "ModeSchedule",

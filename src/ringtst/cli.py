@@ -2,10 +2,10 @@
 
 Commands (``COMMANDS``): ``surface-check`` (one ``surface_factors`` pass
 over 1000 random paths: B_P and f statistics, and its g_P against the
-cyclic form of ``surfaces.g_p``), ``scaling`` (P sweeps of the surface
-quantities on matching sinusoidal paths), ``figure1`` (the log-log dataset
-and fitted slopes), ``rate`` and ``ratio-sweep`` (the Monte-Carlo rate
-estimators).
+cyclic form of ``surfaces.g_p``, relative to max(|g_P|, median |g_P|)),
+``scaling`` (P sweeps of the surface quantities on matching sinusoidal
+paths), ``figure1`` (the log-log dataset and fitted slopes), ``rate`` and
+``ratio-sweep`` (the Monte-Carlo rate estimators).
 
 A config is YAML (parsed with libyaml when PyYAML has it) and is checked
 by walking ``CONFIG_SCHEMA``, the one declarative description of the keys.
@@ -20,8 +20,10 @@ are not numbers (``beta: .nan``, ``d: .inf``): both are rejected before
 any output directory is made.  A YAML syntax error is one line too, with the
 problem's line and column.
 
-Exit codes: 0 success; 2 configuration/validation error, or a numerical
-failure (window extrapolation non-monotone, grid oracle not converged under
+Exit codes: 0 success; 2 configuration/validation error (also a
+Fourier-norm surface with no ``mode``, or a quad-diff one with no
+``offset``, which the schema does not require), or a numerical failure
+(window extrapolation non-monotone, grid oracle not converged under
 refinement, harmonic-analysis weight overflow on the oracle grid), reported
 as one ``error:`` line on stderr; 3 run completed but produced only
 divergence diagnostics (artifacts still written): ``rate`` when a
@@ -346,7 +348,8 @@ def cmd_surface_check(cfg, out: Path, cfg_hash: str) -> int:
     q = rng.standard_normal((1000, params.bead_count))
     sf = surface_factors(spec, q, params)
     g_cyc = g_p(spec, q, params)
-    denom = np.maximum(np.abs(sf.g_p), 1e-300)
+    # a path's mismatch is relative to max(|g_P|, the ensemble's median |g_P|)
+    denom = np.maximum(np.abs(sf.g_p), max(np.median(np.abs(sf.g_p)), 1e-300))
     payload = {
         "bead_count": params.bead_count,
         "n_paths": 1000,

@@ -5,10 +5,10 @@ cyclic wrap-around (index P is bead 0 again).
 
 The exact free ring-polymer sampler draws the P - 1 fluctuation amplitudes
 of ``fourier_mode_basis`` as scaled normals (``free_ring_amplitudes``, the
-one draw of every ensemble); a ``ModeBlock`` holds them with the
-centroids, and builds the real-space paths only when a caller asks for
-them.  ``map_free_ring_paths`` hands an ensemble of at most BLOCK_ELEMS
-path elements (1 MB), or of fewer than POOL_MIN_BEADS beads and at most
+one draw of every ensemble); a ``ModeBlock`` holds them, and builds the
+real-space paths about the centroids a caller gives only when it asks.
+``map_free_ring_paths`` hands an ensemble of at most BLOCK_ELEMS path
+elements (1 MB), or of fewer than POOL_MIN_BEADS beads and at most
 INLINE_ELEMS elements (8 MB), over in one block drawn in the calling
 thread, whose paths are one dense matmul.  Larger ensembles run on a
 thread pool in blocks of BLOCK_ELEMS elements: each block draws its own
@@ -20,8 +20,8 @@ buffer (``ModeBlock.scratch``), which each worker thread reuses for every
 block of the call, so the whole ensemble is never held at once and no
 block allocates path-sized scratch of its own.  Block boundaries are
 fixed by BLOCK_ELEMS and each child is tied to a block index, so the
-results do not depend on the number of cores.  ``mode_amplitudes`` is the inverse map, from real-space paths
-back to their amplitudes and centroids.
+results do not depend on the number of cores.  ``mode_amplitudes`` is the
+inverse map, from real-space paths back to their amplitudes and centroids.
 """
 from __future__ import annotations
 
@@ -189,10 +189,10 @@ def mode_amplitudes(q) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ModeBlock:
-    """A block of paths q = centroid + amps @ fourier_mode_basis(P).T in
-    Fourier-mode coordinates: amps is (rows, P - 1), centroid a scalar or
-    one value per row, and ``start`` the index of its first path in the
-    ensemble, in draw order.  A block from the worker pool carries
+    """A block of paths in Fourier-mode coordinates: amps is (rows, P - 1),
+    the fluctuations amps @ fourier_mode_basis(P).T of each path about its
+    centroid, and ``start`` the index of its first path in the ensemble, in
+    draw order.  A block from the worker pool carries
     ``buffers``: given a scratch factory (``_path_buffers``,
     ``_amp_buffer``) and its arguments after the row count, it returns what
     that factory made for the block's worker thread on the first request of
@@ -200,7 +200,6 @@ class ModeBlock:
     its blocks in the call."""
 
     amps: np.ndarray
-    centroid: float | np.ndarray
     buffers: Callable[..., object] | None = field(default=None, repr=False)
     start: int = 0
 
@@ -209,14 +208,14 @@ class ModeBlock:
         """Whether the block runs on the worker pool."""
         return self.buffers is not None
 
-    def paths(self) -> np.ndarray:
-        """The (rows, P) real-space paths, built as the draw would build
-        them: one dense matmul for an ensemble handed over whole (at small
-        P it is cheaper than irfft), irfft with no BLAS call for a pooled
-        block.  The caller may overwrite them in place.  A pooled block
-        writes them into its worker's path buffer: they stay valid until
-        the next block in that worker builds its paths."""
-        c = np.asarray(self.centroid, dtype=float)
+    def paths(self, centroid) -> np.ndarray:
+        """The (rows, P) real-space paths about centroid (a scalar or one
+        value per row): one dense matmul for an ensemble handed over whole
+        (at small P it is cheaper than irfft), irfft with no BLAS call for a
+        pooled block.  The caller may overwrite them in place.  A pooled
+        block writes them into its worker's path buffer: they stay valid
+        until the next block in that worker builds its paths."""
+        c = np.asarray(centroid, dtype=float)
         c = float(c) if c.ndim == 0 else c.reshape(-1, 1)
         if self.pooled:
             spec, q = self.buffers(_path_buffers, self.amps.shape[1] + 1)
@@ -255,16 +254,8 @@ def _pool():
     return ThreadPoolExecutor(max_workers=_usable_cores(), thread_name_prefix="ringtst")
 
 
-def map_free_ring_paths(
-    params: ThermoParams,
-    n_samples: int,
-    rng: np.random.Generator,
-    per_path,
-    centroid: float | np.ndarray = 0.0,
-) -> tuple[np.ndarray, ...]:
-    """per_path applied to free ring-polymer paths around the given
-    centroid (scalar or per-sample array, which the free weight does not
-    constrain).
+def map_free_ring_paths(params: ThermoParams, n_samples: int, rng: np.random.Generator, per_path) -> tuple[np.ndarray, ...]:
+    """per_path applied to blocks of free ring-polymer paths.
 
     per_path maps a ModeBlock of rows paths to a tuple of 1-D arrays,
     either of length rows, one value per path, or of per-block reductions
@@ -279,16 +270,15 @@ def map_free_ring_paths(
     applies per_path.  A pooled block's paths are built into a spectrum and
     a path array that its worker thread creates when its first block of
     this call builds paths, reuses for its later blocks and drops when the
-    call returns; ``block.paths()`` is valid until the next block in that
+    call returns; ``block.paths(c)`` is valid until the next block in that
     worker builds its own, so the results that are views are copied; the
     same holds for ``block.scratch``.  The caller's own stream is not
     advanced.  An exception raised by per_path reaches the caller.
     """
     P = params.bead_count
-    centroid = np.asarray(centroid, dtype=float)
     rows = max(1, BLOCK_ELEMS // P)
     if n_samples <= rows or (P < POOL_MIN_BEADS and n_samples * P <= INLINE_ELEMS):
-        return tuple(per_path(ModeBlock(free_ring_amplitudes(params, n_samples, rng), centroid)))
+        return tuple(per_path(ModeBlock(free_ring_amplitudes(params, n_samples, rng))))
     from concurrent.futures import wait
 
     # scratch of each worker thread, by factory, for this call only: a
@@ -302,9 +292,8 @@ def map_free_ring_paths(
         return scratch[key]
 
     def block(child, lo):
-        hi = min(lo + rows, n_samples)
-        z = free_ring_amplitudes(params, hi - lo, child)
-        out = per_path(ModeBlock(z, centroid if centroid.ndim == 0 else centroid[lo:hi], buffers, lo))
+        z = free_ring_amplitudes(params, min(rows, n_samples - lo), child)
+        out = per_path(ModeBlock(z, buffers, lo))
         # views are copied, so that no result reads a buffer the next block
         # reuses; arrays that own their memory are passed on as they are
         return tuple(x if x.base is None else x.copy() for x in map(np.asarray, out))

@@ -8,38 +8,41 @@ with F = sqrt(B_P) for the ring-polymer flux and
 F = exp(beta g_P^2 / 2 m P) * flux_sum for the harmonic-analysis flux
 (the eta0 Gaussian integral done in closed form).
 
-Both backends take f and the flux factors of each path from one
-``surfaces.mode_factors`` pass over its Fourier-mode amplitudes
-(``integrand_factors`` turns its SurfaceFactors into F_rpmd and F_ha);
-neither calls ``grad_f``.
+Every surface reads f = cos(phi) c + f0, where neither f0 (f at centroid
+0) nor the flux factors depend on the centroid c.  So both backends put
+Fourier-mode amplitudes on the surface f = shift in one place
+(``_on_surface``): one ``surfaces.mode_factors`` pass at centroid 0 gives
+f0 and the flux factors (``integrand_factors``), the constraint fixes
+c = (shift - f0) / cos(phi), and real-space paths about c are built for
+the potential alone.
 
 Monte-Carlo backend: exact normal-mode sampling of the free ring polymer,
 with each path's centroid drawn given its amplitudes from a Gaussian
 proposal that puts f - d at s z (z standard normal, s at least the widest
-window), re-weighted by the potential factor over the proposal density;
-real-space paths are built for the potential sum alone.  An ensemble
-larger than one block (from 16 beads on) or than 8 MB of paths (below) is
-drawn and evaluated in fixed blocks on a thread pool, each block drawing
-its own normals (``paths.map_free_ring_paths``), with results independent
-of the core count.  The potential is evaluated in place, over the paths
-(for a pooled block, in the path buffer its worker reuses).  The delta
-constraint is realized by Gaussian windows of three fixed widths, whose
-means are extrapolated to zero width by a line in the squared width.
+window; shift = d + s z), re-weighted by the potential factor over the
+proposal density.  An ensemble larger than one block (from 16 beads on) or
+than 8 MB of paths (below) is drawn and evaluated in fixed blocks on a
+thread pool, each block drawing its own normals
+(``paths.map_free_ring_paths``), with results independent of the core
+count.  The potential is evaluated in place, over the paths (for a pooled
+block, in the path buffer its worker reuses).  The delta constraint is
+realized by Gaussian windows of three fixed widths, whose means are
+extrapolated to zero width by a line in the squared width.
 
 Grid oracle, P <= 4: a midpoint-rule quadrature over the P - 1 fluctuation
-modes, with the delta constraint solved exactly for the centroid; it covers
-every surface, since the norm term of each accepted surface does not
-depend on the centroid.
+modes, with the delta constraint solved exactly for the centroid
+(shift = d); it covers every surface, since the norm term of each accepted
+surface does not depend on the centroid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .density import log_rho_ring
 from .params import ThermoParams
-from .paths import fourier_mode_basis, free_ring_mode_std, map_free_ring_paths
+from .paths import ModeBlock, free_ring_mode_std, map_free_ring_paths
 from .potentials import Potential
 from .surfaces import (
     CentroidSurface,
@@ -49,7 +52,6 @@ from .surfaces import (
     _check_order,
     _mode_weights,
     mode_factors,
-    surface_factors,
 )
 
 # log-weight bound beyond which the harmonic-analysis factor counts as
@@ -127,6 +129,28 @@ def integrand_factors(sf: SurfaceFactors, params: ThermoParams):
     return np.sqrt(sf.b_p), F_ha, lw
 
 
+def _cos_phi(spec: Surface) -> float:
+    """cos(phi) of f = cos(phi) c + f0; 1 on the centroid surface."""
+    return 1.0 if isinstance(spec, CentroidSurface) else float(np.cos(spec.phi))
+
+
+def _on_surface(spec: Surface, block: ModeBlock, shift, params: ThermoParams):
+    """The paths of a block put on the surface f(q) = shift (a scalar, or
+    one value per path in an array that is overwritten with the centroids):
+    one ``mode_factors`` pass at centroid 0 gives f0 = f there and the flux
+    factors (``integrand_factors``), and c = (shift - f0) / cos(phi).
+    Returns the real-space paths about c, the flux factors and f0."""
+    sf = mode_factors(spec, block.amps, 0.0, params)
+    factors = integrand_factors(sf, params)
+    f0 = sf.f
+    # sf is freed and c takes the memory of shift before the paths are
+    # built, which lowers the peak memory of a large inline ensemble
+    del sf
+    c = np.subtract(shift, f0, out=shift if np.ndim(shift) else None)
+    c /= _cos_phi(spec)
+    return block.paths(c), factors, f0
+
+
 def rate_estimates(
     pot: Potential,
     spec: Surface,
@@ -140,11 +164,11 @@ def rate_estimates(
 
     Free ring polymers are drawn exactly, and each path's centroid is drawn
     given its amplitudes, so that its f lands near d.  The ensemble goes
-    through ``map_free_ring_paths`` once.  Each block takes f0 = f at
-    centroid 0 and the flux factors, which do not depend on the centroid,
-    from one ``mode_factors`` pass over its amplitudes, sets the centroids
-    c = (d - f0 + s z) / cos(phi), so that f - d = s z exactly, and reduces
-    its real-space paths to their potential sums; large ensembles are thus
+    through ``map_free_ring_paths`` once.  Each block is put on the surface
+    f = d + s z (``_on_surface``: f0 = f at centroid 0 and the flux factors
+    from one ``mode_factors`` pass, centroids c = (d + s z - f0) / cos(phi)),
+    so that f - d = s z exactly, and reduces its real-space paths to their
+    potential sums; large ensembles are thus
     evaluated in blocks on the worker pool and never held whole.  z is one
     standard normal per path, drawn here before the ensemble, and
     s = WINDOW_WIDTHS[0] * sqrt(cos^2(phi) sigma_c^2 + E[f0^2]), with
@@ -174,41 +198,21 @@ def rate_estimates(
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_samples)
     sigma_c = params.hbar * np.sqrt(params.beta / params.mass)
-    if isinstance(spec, CentroidSurface):
-        cos_phi, mean_f0_sq = 1.0, 0.0
-    else:
+    cos_phi, mean_f0_sq = _cos_phi(spec), 0.0
+    if not isinstance(spec, CentroidSurface):
         # E[N^2] = sum_j w_j sigma_j^2 over the free-ring amplitudes
         cols, W, _ = _mode_weights(spec, P)
         mean_n_sq = W[:, 0] @ free_ring_mode_std(params)[cols] ** 2
-        cos_phi = float(np.cos(spec.phi))
         mean_f0_sq = (np.sin(spec.phi) / spec.norm_factor(P)) ** 2 * mean_n_sq
     s = WINDOW_WIDTHS[0] * np.sqrt(cos_phi**2 * sigma_c**2 + mean_f0_sq)
 
     def per_path(block):
-        rows = slice(block.start, block.start + len(block.amps))
-        f0_sums = np.empty(2)
-
-        def centroids(f0):
-            # (d - f0 + s z) / cos(phi), in one array; the sum and sum of
-            # squares of f0 are kept for sigma_f
-            f0_sums[:] = np.sum(f0), np.vdot(f0, f0)
-            c = np.multiply(z[rows], s)
-            c += d
-            c -= f0
-            c /= cos_phi
-            return c
-
-        sf = mode_factors(spec, block.amps, centroids, params)
-        factors = integrand_factors(sf, params)
-        block = replace(block, centroid=sf.centroid)
-        # the per-path arrays of sf are freed before the paths are built,
-        # which lowers the peak memory of a large inline ensemble
-        del sf
+        q, factors, f0 = _on_surface(spec, block, d + s * z[block.start : block.start + len(block.amps)], params)
         # the potential overwrites the paths (for a pooled block, its
-        # worker's reused buffer) in place
-        q = block.paths()
+        # worker's reused buffer) in place; the sum and sum of squares of
+        # f0 are kept for sigma_f
         v = np.sum(pot.value(q, out=q), axis=-1)
-        return (v, *factors, f0_sums)
+        return (v, *factors, np.array([np.sum(f0), np.vdot(f0, f0)]))
 
     v_sum, F_rpmd, F_ha, lw, f0_sums = map_free_ring_paths(params, n_samples, rng, per_path)
     f0_mean, f0_sq = f0_sums.reshape(-1, 2).sum(axis=0) / n_samples
@@ -290,20 +294,19 @@ def grid_oracle_rate(pot: Potential, spec: Surface, d: float, params: ThermoPara
     with a translation-invariant norm term N (N = 0 and cos(phi) = 1 for
     the centroid).  The delta constraint then fixes the centroid exactly,
     c* = (d - N) / cos(phi), and contributes 1 / |cos(phi)|.  The nodes xi
-    are basis amplitudes, so one ``mode_factors`` pass over them at
-    centroid 0 gives N as their f, and the flux factors, which do not
-    change when the path is translated; only the density reads the
-    real-space paths B xi + c*.  Axis j spans
-    +- ORACLE_HALF_WIDTH free-ring standard deviations of mode j with the
-    midpoint rule on ORACLE_CELLS cells, an even number, so the node xi = 0,
-    where the norm term vanishes, is never evaluated.  Refinement doubles
-    the cells per axis and must change each result by less than 1%.
+    are basis amplitudes, put on the surface f = d as one dense block by
+    ``_on_surface``, whose one ``mode_factors`` pass at centroid 0 gives N
+    and the flux factors; only the density reads the real-space paths
+    B xi + c*.  Axis j spans +- ORACLE_HALF_WIDTH free-ring standard
+    deviations of mode j with the midpoint rule on ORACLE_CELLS cells, an
+    even number, so the node xi = 0, where the norm term vanishes, is never
+    evaluated.  Refinement doubles the cells per axis and must change each
+    result by less than 1%.
     """
     P = params.bead_count
     if P > ORACLE_MAX_BEADS:
         raise ValueError(f"grid oracle restricted to P <= {ORACLE_MAX_BEADS}")
-    cos_phi = 1.0 if isinstance(spec, CentroidSurface) else float(np.cos(spec.phi))
-    basis = fourier_mode_basis(P)
+    cos_phi = _cos_phi(spec)
     sigma = free_ring_mode_std(params)
 
     def quad(cells):
@@ -311,10 +314,7 @@ def grid_oracle_rate(pot: Potential, spec: Surface, d: float, params: ThermoPara
         t = ORACLE_HALF_WIDTH * ((2.0 * np.arange(cells) + 1.0) / cells - 1.0)
         grids = np.meshgrid(*([t] * (P - 1)), indexing="ij")
         xi = np.stack([g.ravel() for g in grids], axis=-1) * sigma
-        sf = mode_factors(spec, xi, 0.0, params)
-        F_rpmd, F_ha, _ = integrand_factors(sf, params)
-        q = xi @ basis.T
-        q += ((d - sf.f) / cos_phi)[:, None]
+        q, (F_rpmd, F_ha, _), _ = _on_surface(spec, ModeBlock(xi), d, params)
         rho = np.exp(log_rho_ring(q, params, pot))
         if np.any(np.isinf(F_ha)):
             raise OverflowError("harmonic-analysis weight overflows on grid")

@@ -264,7 +264,7 @@ def quaddiff_orders(
             a = block.amps
             if scale is not None:
                 a = np.multiply(a[:, : scale.size], scale, out=block.scratch(scale.size))
-            sf = mode_factors(spec, a, block.centroid, pp)
+            sf = mode_factors(spec, a, 0.0, pp)
             sums[:, i] = np.sum(sf.b_p), np.sum(np.abs(sf.t_diff(QUADDIFF_K))), np.sum(np.abs(sf.g_p))
         return tuple(sums)
 

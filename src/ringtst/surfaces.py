@@ -20,12 +20,13 @@ it returns.  Its input is the paths' amplitudes on ``paths.fourier_mode_basis``
 and their centroids, the coordinates the free ring-polymer sampler draws.
 The surfaces are cyclically invariant, so both non-centroid families read
 f = cos(phi) c + sin(phi) N / R with N^2 a weighted sum of squared
-amplitudes, and one code path evaluates them, with no real-space pass.
+amplitudes, and one code path evaluates them, with no real-space pass;
+only f depends on c, so the estimators evaluate at c = 0.
 ``surface_factors`` takes real-space paths to the same evaluator through
-one centred rfft, and ``grad_f`` reads the gradient sqrt(B_P) T off the
-same pass.  ``g_p`` keeps the cyclic form of g_P, a bead sum over the
-irfft-built T, as a cross-check of the closed-form link sum; no ensemble
-calls them.  The real-space reference of every quantity lives in the tests.
+one centred rfft; the gradient of f is sqrt(B_P) T.  ``g_p`` keeps the
+cyclic form of g_P, a bead sum over the irfft-built T, as a cross-check
+of the closed-form link sum; no ensemble calls them.  The real-space
+reference of every quantity lives in the tests.
 
 A Fourier-norm mode n lies in 1 .. P - 1 (``_check_order``): mode P, like
 mode 0, has L_n = P |c|, a norm that depends on the centroid.  The rfft
@@ -134,17 +135,6 @@ def _raise_if_singular(norm, amps, centroid) -> None:
         raise SingularSurfaceError("surface norm term vanishes on this path")
 
 
-def grad_f(spec: Surface, q):
-    """Gradient of f with respect to each bead (last axis), sqrt(B_P) T from
-    one ``surface_factors`` pass, which raises SingularSurfaceError where
-    the norm term vanishes.  The centroid surface's gradient is 1 / P."""
-    q = _check(spec, q)
-    if isinstance(spec, CentroidSurface):
-        return np.broadcast_to(1.0 / q.shape[-1], q.shape).copy()
-    sf = surface_factors(spec, q)
-    return np.sqrt(sf.b_p)[..., None] * sf.t_vec
-
-
 def _g_p_coef(params: ThermoParams, P: int) -> float:
     return params.mass * P / (2.0 * params.beta * params.hbar)
 
@@ -155,7 +145,6 @@ class SurfaceFactors:
     over the leading axes), all from one evaluation per path.
 
     f:              f(q), the surface value (not offset by d)
-    centroid:       the centroid c of q
     b_p:            B_P = sum_k (df/dq_k)^2
     t_vec:          T_k = (df/dq_k) / sqrt(B_P), same shape as the paths;
                     built on first read
@@ -170,7 +159,6 @@ class SurfaceFactors:
     """
 
     f: np.ndarray
-    centroid: np.ndarray
     b_p: np.ndarray
     flux_sum: np.ndarray
     sum_difference: np.ndarray
@@ -249,11 +237,10 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
     t1 = sin(phi) / (R N): B_P = cos^2(phi) / P + t1^2 |curv|^2 and
     S = t1^2 sum_k (curv_{k+1} - curv_k)^2 / B_P.
 
-    The centroid may also be given as a function of f0, the value of f at
-    centroid 0 (sin(phi) N / R, or 0 on the centroid surface), that returns
-    the centroids, as a caller does that solves the surface constraint for
-    them; nothing else depends on the centroid.  Where N is at most 1e-12
-    of max(1, |q|), with |q| at the centroids used, it raises
+    Only f depends on the centroid: at centroid 0 it is f0 = sin(phi) N / R
+    (0 on the centroid surface), which the estimators read to solve the
+    surface constraint for the centroid.  Where N is at most 1e-12 of
+    max(1, |q|), with |q| at the given centroids, it raises
     SingularSurfaceError.
     """
     amps = np.asarray(amps, dtype=float)
@@ -261,14 +248,9 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
     _check_order(spec, P)
     a = amps.reshape(-1, P - 1)
     n = a.shape[0]
-
-    def centroids(f0):
-        c = centroid(f0) if callable(centroid) else centroid
-        return np.broadcast_to(np.asarray(c, dtype=float), lead).reshape(-1)
-
+    c = np.broadcast_to(np.asarray(centroid, dtype=float), lead).reshape(-1)
     mu = None
     if isinstance(spec, CentroidSurface):
-        c = centroids(0.0)
         f, B, t0, t1 = c.copy(), np.full(n, 1.0 / P), 1.0 / P, 0.0
         S, link = 0.0, 0.0
     else:
@@ -280,7 +262,6 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
         N = np.sqrt(N2)
         R = spec.norm_factor(P)
         f0 = sin_phi * N / R
-        c = centroids(f0)
         _raise_if_singular(N, a, c)
         t1 = sin_phi / (R * N)
         B = cos_phi**2 / P + t1**2 * curv2
@@ -298,7 +279,6 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
 
     return SurfaceFactors(
         f=shaped(f),
-        centroid=shaped(c),
         b_p=shaped(B),
         flux_sum=shaped(root + sum_diff),
         sum_difference=shaped(sum_diff),
@@ -410,11 +390,14 @@ def equivalence_diagnostics(family, P_list, params: ThermoParams) -> Diagnostics
 
 
 def surface_from_config(cfg: dict) -> Surface:
+    """The surface of a config's ``surface`` mapping; ValueError names a missing key."""
     kind = cfg.get("kind", "centroid")
     if kind == "centroid":
         return CentroidSurface()
-    if kind == "fourier_norm":
-        return FourierNormSurface(mode=cfg["mode"], phi=cfg.get("phi", np.pi / 4))
-    if kind == "quad_diff":
-        return QuadDiffSurface(offset=cfg["offset"], phi=cfg.get("phi", np.pi / 4))
-    raise ValueError(f"unknown surface kind: {kind!r}")
+    families = {"fourier_norm": (FourierNormSurface, "mode"), "quad_diff": (QuadDiffSurface, "offset")}
+    if kind not in families:
+        raise ValueError(f"unknown surface kind: {kind!r}")
+    cls, key = families[kind]
+    if key not in cfg:
+        raise ValueError(f"surface kind {kind!r} needs the key {key!r}")
+    return cls(cfg[key], phi=cfg.get("phi", np.pi / 4))

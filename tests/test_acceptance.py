@@ -36,7 +36,6 @@ from ringtst.surfaces import (
     QuadDiffSurface,
     equivalence_diagnostics,
     g_p,
-    grad_f,
     surface_factors,
 )
 
@@ -191,10 +190,11 @@ def test_criterion_4_identity_suite():
         cyc = g_p(spec, q_big, PARAMS)
         ok &= bool(np.all(np.abs(link - cyc) <= 1e-10 * np.maximum(np.abs(link), 1.0)))
         sf = surface_factors(spec, q_big)
-        flux = np.sum(grad_f(spec, q_big) * sf.t_vec, axis=-1)
+        flux = np.sum(np.sqrt(sf.b_p)[:, None] * sf.t_vec**2, axis=-1)
         ok &= bool(np.max(np.abs(flux - np.sqrt(sf.b_p))) < 1e-12)
         q1 = q_big[0]
-        g = grad_f(spec, q1)
+        sf1 = surface_factors(spec, q1)
+        g = np.sqrt(sf1.b_p) * sf1.t_vec
         h = 1e-6
         for k in range(P):
             e = np.zeros(P)

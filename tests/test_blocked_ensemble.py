@@ -67,15 +67,14 @@ def _assert_inline_and_bit_identical(P, n):
 
     def per_path(block):
         assert not block.pooled and block.amps.shape == (n, P - 1)
-        q = block.paths()
-        return q.sum(axis=-1), q[:, 0], block.amps[:, 0], block.centroid
+        q = block.paths(c)
+        return q.sum(axis=-1), q[:, 0], block.amps[:, 0]
 
-    got = map_free_ring_paths(params, n, np.random.default_rng(3), per_path, centroid=c)
+    got = map_free_ring_paths(params, n, np.random.default_rng(3), per_path)
     q = free_ring_amplitudes(params, n, np.random.default_rng(3)) @ fourier_mode_basis(P).T + c[:, None]
     assert np.array_equal(got[0], q.sum(axis=-1))
     assert np.array_equal(got[1], q[:, 0])
     assert np.array_equal(got[2], free_ring_amplitudes(params, n, np.random.default_rng(3))[:, 0])
-    assert np.array_equal(got[3], c)
 
 
 def test_small_ensemble_runs_inline_and_bit_identical(monkeypatch):
@@ -144,9 +143,10 @@ def test_blocked_draw_keeps_the_stream(centroid):
 
     def per_path(block):
         assert block.pooled
-        return (*block.paths().T, *block.amps.T)
+        rows = slice(block.start, block.start + len(block.amps))
+        return (*block.paths(c if np.ndim(c) == 0 else c[rows]).T, *block.amps.T)
 
-    columns = map_free_ring_paths(params, n, rng, per_path, centroid=c)
+    columns = map_free_ring_paths(params, n, rng, per_path)
     children = np.random.default_rng(9).spawn(n_blocks)
     want_amps = np.concatenate(
         [child.standard_normal((min(rows, n - i * rows), P - 1)) for i, child in enumerate(children)]

@@ -31,7 +31,7 @@ def test_exports_resolve():
 PUBLIC_NAMES = {
     "__version__", "ThermoParams", "Potential", "FreeParticle", "Harmonic", "Eckart", "DoubleWell",
     "SinusoidalPathSpec", "sinusoidal_path", "log_rho_ring", "CentroidSurface", "FourierNormSurface",
-    "QuadDiffSurface", "SingularSurfaceError", "SurfaceFactors", "surface_factors", "grad_f", "g_p",
+    "QuadDiffSurface", "SingularSurfaceError", "SurfaceFactors", "surface_factors", "g_p",
     "equivalence_diagnostics", "ModeSchedule", "ScalingSeries", "tdiff_series", "gp_series", "sumdiff_series",
     "figure1_emit", "quaddiff_orders", "RateReport", "rate_estimates", "grid_oracle_rate", "ratio_sweep",
 }
@@ -222,10 +222,12 @@ def test_scaling_half_mode_schedule(tmp_path):
     [
         "{kind: fourier_norm, mode: 3, phi: 0.7}",
         "{kind: fourier_norm, mode: 8, phi: 0.7}",  # the Nyquist mode at P = 16
+        # at phi = pi/4 one path has |g_P| = 0.014 against a median of 9
+        "{kind: fourier_norm, mode: 8}",
         "{kind: quad_diff, offset: 1, phi: 0.7}",
         "{kind: quad_diff, offset: 8, phi: 0.7}",
     ],
-    ids=["fourier3", "fourier8", "quaddiff1", "quaddiff8"],
+    ids=["fourier3", "fourier8", "fourier8-quarter-pi", "quaddiff1", "quaddiff8"],
 )
 def test_surface_check_command(tmp_path, surface):
     cfg = tmp_path / "cfg.yaml"
@@ -233,7 +235,7 @@ def test_surface_check_command(tmp_path, surface):
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "surface_check.json").read_text())
     assert doc["bead_count"] == 16
-    assert doc["max_rel_gp_form_mismatch"] < 1e-10
+    assert doc["max_rel_gp_form_mismatch"] < 1e-13
     assert doc["max_unit_norm_deviation"] < 1e-12
     if "fourier_norm" in surface:
         assert doc["b_p_std"] < 1e-12  # path independent for this surface family
@@ -351,6 +353,21 @@ def test_rate_mode_at_bead_count_draws_no_path(tmp_path, capsys, monkeypatch, or
     assert_one_error_line(capsys, "Fourier-norm mode 3 at P = 3", "depends on the centroid")
     assert not (out / "rate.json").exists()
     assert draws == []
+
+
+@pytest.mark.parametrize("command", ["rate", "surface-check"])
+@pytest.mark.parametrize(
+    "surface, key", [("{kind: fourier_norm, phi: 0.5}", "mode"), ("{kind: quad_diff}", "offset")], ids=["mode", "offset"]
+)
+def test_surface_without_its_key_exits_2(tmp_path, capsys, command, surface, key):
+    """A Fourier-norm surface with no mode, or a quad-diff one with no
+    offset, is one error line naming the key, exit 2, and no artifact."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"command: {command}\nthermo: {{bead_count: 8}}\nsurface: {surface}\nn_samples: 1000\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert_one_error_line(capsys, f"needs the key {key!r}")
+    assert list(out.iterdir()) == []
 
 
 def test_rate_rejected_oracle_input_draws_no_path(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from ringtst.params import ThermoParams
 from ringtst.paths import fourier_mode_basis, free_ring_amplitudes, map_free_ring_paths
 from ringtst.potentials import Eckart, FreeParticle, Harmonic
 from ringtst.rates import (
+    ORACLE_CELLS,
     OVERFLOW_GUARD,
     free_ring_mean_f,
     grid_oracle_rate,
@@ -108,7 +109,9 @@ def free_ring_mean_norm_sq(spec, P, beta=1.0, m=1.0, hbar=1.0):
     return -0.5 * P * np.sum(np.cos(2.0 * np.pi * spec.mode * r / P) * bridge)
 
 
-@pytest.mark.parametrize("P, n", [(8, 2_000), (256, 5_000)], ids=["inline", "pooled"])
+@pytest.mark.parametrize(
+    "P, n", [(8, 2_000), (256, 5_000), (3, None), (4, None)], ids=["inline", "pooled", "oracle-P3", "oracle-P4"]
+)
 @pytest.mark.parametrize(
     "spec",
     [CentroidSurface(), FourierNormSurface(mode=2, phi=0.5), QuadDiffSurface(offset=3, phi=0.7)],
@@ -117,18 +120,31 @@ def free_ring_mean_norm_sq(spec, P, beta=1.0, m=1.0, hbar=1.0):
 def test_centroid_draw_puts_f_at_d_plus_s_z(monkeypatch, spec, P, n):
     """Every path the estimator builds has f(q) - d = s z, with z the
     seed's first n normals and s = 0.2 sqrt(cos^2 phi sigma_c^2 + E[f0^2])
-    (f0 = sin(phi) N / R, f at centroid 0), read back from the real-space
-    paths through surface_factors."""
+    (f0 = sin(phi) N / R, f at centroid 0), and every path the grid oracle
+    builds (n None; quad-diff offset at most P - 1) has f(q) = d, read back
+    from the real-space paths through surface_factors."""
     blocks = []
     inner = paths.ModeBlock.paths
 
-    def spy(block):
-        q = inner(block)
+    def spy(block, centroid):
+        q = inner(block, centroid)
         blocks.append((block.start, block.pooled, q.copy()))
         return q
 
     monkeypatch.setattr(paths.ModeBlock, "paths", spy)
     params, d, seed = ThermoParams(beta=1.5, bead_count=P), 0.2, 3
+    if n is None:
+        if isinstance(spec, QuadDiffSurface):
+            spec = QuadDiffSurface(offset=min(spec.offset, P - 1), phi=spec.phi)
+        grid_oracle_rate(Eckart(), spec, d, params)
+        # the coarse and the refined grid, each one dense block
+        assert [(start, pooled, len(q)) for start, pooled, q in blocks] == [
+            (0, False, ORACLE_CELLS ** (P - 1)),
+            (0, False, (2 * ORACLE_CELLS) ** (P - 1)),
+        ]
+        for _, _, q in blocks:
+            assert np.max(np.abs(surface_factors(spec, q).f - d)) < 1e-10
+        return
     rate_estimates(Eckart(), spec, d, params, n_samples=n, seed=seed)
     blocks.sort(key=lambda b: b[0])
     assert {pooled for _, pooled, _ in blocks} == {P > 8}

@@ -1,8 +1,7 @@
 """surface_factors and mode_factors against the separate rolled-sum
 definitions and the reference f, their invariants, and the
 one-surface-pass-per-path guarantee of their callers: ensembles and the
-grid oracle evaluate each path once, in Fourier-mode coordinates, with no
-grad_f call."""
+grid oracle evaluate each path once, in Fourier-mode coordinates."""
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -231,20 +230,6 @@ def test_singular_row_raises_from_any_block():
 
 
 @pytest.fixture
-def grad_rows(monkeypatch):
-    """Counts the path rows grad_f is evaluated on."""
-    rows = []
-    inner = surfaces.grad_f
-
-    def counted(spec, q):
-        rows.append(int(np.prod(np.shape(q)[:-1])))
-        return inner(spec, q)
-
-    monkeypatch.setattr(surfaces, "grad_f", counted)
-    return rows
-
-
-@pytest.fixture
 def mode_rows(monkeypatch):
     """Counts the path rows mode_factors is evaluated on, through the
     surfaces module and the names rates and scaling import."""
@@ -265,15 +250,14 @@ def mode_rows(monkeypatch):
     [CentroidSurface(), FourierNormSurface(mode=2, phi=0.5), QuadDiffSurface(offset=3, phi=0.7)],
     ids=["centroid", "fourier", "quaddiff"],
 )
-def test_integrand_factors_one_gradient_per_path(grad_rows, mode_rows, spec):
+def test_integrand_factors_one_gradient_per_path(mode_rows, spec):
     """The gradient quantities of each path come from one mode_factors
-    evaluation, in closed form: grad_f is never called."""
+    evaluation, in closed form."""
     P, n = 32, 3 * (BLOCK_ELEMS // 32) + 5
     q = np.random.default_rng(2).standard_normal((n, P))
     params = ThermoParams(bead_count=P)
     integrand_factors(surface_factors(spec, q, params), params)
     assert mode_rows == [n]
-    assert grad_rows == []
 
 
 @pytest.mark.parametrize(
@@ -281,14 +265,13 @@ def test_integrand_factors_one_gradient_per_path(grad_rows, mode_rows, spec):
     [CentroidSurface(), FourierNormSurface(mode=1, phi=0.5), QuadDiffSurface(offset=1, phi=0.7)],
     ids=["centroid", "fourier", "quaddiff"],
 )
-def test_grid_oracle_one_surface_pass_per_node(grad_rows, mode_rows, spec):
+def test_grid_oracle_one_surface_pass_per_node(mode_rows, spec):
     grid_oracle_rate(Harmonic(omega=1.0), spec, 0.0, ThermoParams(bead_count=3))
     # coarse and refined grid over the P - 1 = 2 fluctuation modes
     assert mode_rows == [ORACLE_CELLS**2, (2 * ORACLE_CELLS) ** 2]
-    assert grad_rows == []
 
 
-def test_rate_estimates_one_gradient_per_path(grad_rows, mode_rows):
+def test_rate_estimates_one_gradient_per_path(mode_rows):
     # f comes from the same mode_factors pass
     spec = FourierNormSurface(mode=2, phi=0.5)
     rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=16), n_samples=2000, seed=1)
@@ -297,10 +280,9 @@ def test_rate_estimates_one_gradient_per_path(grad_rows, mode_rows):
     mode_rows.clear()
     rate_estimates(Eckart(), spec, 0.0, ThermoParams(bead_count=256), n_samples=5000, seed=1)
     assert sum(mode_rows) == 5000 and len(mode_rows) == -(-5000 // (BLOCK_ELEMS // 256))
-    assert grad_rows == []
 
 
-def test_quaddiff_orders_one_gradient_per_path(grad_rows, mode_rows, monkeypatch):
+def test_quaddiff_orders_one_gradient_per_path(mode_rows, monkeypatch):
     """One mode_factors pass per path, and no real-space path: neither the
     paths of a block, nor t_vec, nor the real-space entry."""
 
@@ -317,4 +299,3 @@ def test_quaddiff_orders_one_gradient_per_path(grad_rows, mode_rows, monkeypatch
     mode_rows.clear()
     quaddiff_orders("one", P_list=(128, 256), n_paths=5000, seed=3)
     assert sum(mode_rows) == 2 * 5000
-    assert grad_rows == []
