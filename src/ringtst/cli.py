@@ -16,16 +16,16 @@ failure exits 2 with ``error: invalid config at <path>: <message>``: the
 shallowest failing path, in jsonschema's wording (``('bogus' was
 unexpected)``, ``1 is less than the minimum of 2``).  Unlike jsonschema, an
 integral float is not an integer (``bead_count: 8.0``) and NaN and +-inf
-are not numbers (``beta: .nan``, ``d: .inf``): both are rejected before
-any output directory is made.  A YAML syntax error is one line too, with the
-problem's line and column.
+are not numbers (``beta: .nan``, ``d: .inf``): both are rejected.  A YAML
+syntax error is one line too, with the problem's line and column.
 
 Exit codes: 0 success; 2 configuration/validation error (also a
 Fourier-norm surface with no ``mode``, or a quad-diff one with no
 ``offset``, which the schema does not require), or a numerical failure
 (window extrapolation non-monotone, grid oracle not converged under
 refinement, harmonic-analysis weight overflow on the oracle grid), reported
-as one ``error:`` line on stderr; 3 run completed but produced only
+as one ``error:`` line on stderr, with no output directory made (each
+artifact writer makes its own); 3 run completed but produced only
 divergence diagnostics (artifacts still written): ``rate`` when a
 sample's harmonic-analysis log-weight passes the overflow guard,
 ``ratio-sweep`` when that happens at every bead count.  JSON has no NaN or
@@ -397,7 +397,6 @@ def main(argv=None) -> int:
         return 2
 
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     hash_input = {k: v for k, v in cfg.items() if k != "out"}
     cfg_hash = config_sha256(hash_input)
     try:

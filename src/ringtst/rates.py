@@ -9,12 +9,13 @@ F = exp(beta g_P^2 / 2 m P) * flux_sum for the harmonic-analysis flux
 (the eta0 Gaussian integral done in closed form).
 
 Every surface reads f = cos(phi) c + f0, where neither f0 (f at centroid
-0) nor the flux factors depend on the centroid c.  So both backends put
-Fourier-mode amplitudes on the surface f = shift in one place
-(``_on_surface``): one ``surfaces.mode_factors`` pass at centroid 0 gives
-f0 and the flux factors (``integrand_factors``), the constraint fixes
-c = (shift - f0) / cos(phi), and real-space paths about c are built for
-the potential alone.
+0) nor the flux factors depend on the centroid c (phi = 0 and f0 = 0 on the
+centroid surface).  So both backends put Fourier-mode amplitudes on the
+surface f = shift, one value per path, in one place (``_on_surface``): one
+``surfaces.mode_factors`` pass at centroid 0 gives f0 and the flux factors
+(``integrand_factors``, whose infinite F_ha marks divergence for both), the
+constraint fixes c = (shift - f0) / cos(phi), and real-space paths about c
+are built for the potential alone.
 
 Monte-Carlo backend: exact normal-mode sampling of the free ring polymer,
 with each path's centroid drawn given its amplitudes from a Gaussian
@@ -118,26 +119,21 @@ def ha_log_weight(g, params: ThermoParams):
 
 
 def integrand_factors(sf: SurfaceFactors, params: ThermoParams):
-    """Per-configuration flux factors (F_rpmd, F_ha, log_weight) from the
-    surface factors of the paths (with g_P, so computed with ``params``).
+    """Per-configuration flux factors (F_rpmd, F_ha) from the surface
+    factors of the paths (with g_P, so computed with ``params``).
 
-    F_ha is inf where the log-weight exceeds the overflow guard.
+    F_ha is inf exactly where the log-weight exceeds the overflow guard, the
+    one divergence test of both estimators; elsewhere exp stays finite.
     """
     lw = ha_log_weight(sf.g_p, params)
-    with np.errstate(over="ignore"):
-        F_ha = np.where(lw > OVERFLOW_GUARD, np.inf, np.exp(np.minimum(lw, OVERFLOW_GUARD)) * sf.flux_sum)
-    return np.sqrt(sf.b_p), F_ha, lw
+    F_ha = np.where(lw > OVERFLOW_GUARD, np.inf, np.exp(np.minimum(lw, OVERFLOW_GUARD)) * sf.flux_sum)
+    return np.sqrt(sf.b_p), F_ha
 
 
-def _cos_phi(spec: Surface) -> float:
-    """cos(phi) of f = cos(phi) c + f0; 1 on the centroid surface."""
-    return 1.0 if isinstance(spec, CentroidSurface) else float(np.cos(spec.phi))
-
-
-def _on_surface(spec: Surface, block: ModeBlock, shift, params: ThermoParams):
-    """The paths of a block put on the surface f(q) = shift (a scalar, or
-    one value per path in an array that is overwritten with the centroids):
-    one ``mode_factors`` pass at centroid 0 gives f0 = f there and the flux
+def _on_surface(spec: Surface, block: ModeBlock, shift: np.ndarray, params: ThermoParams):
+    """The paths of a block put on the surface f(q) = shift, one value per
+    path in an array that is overwritten with the centroids: one
+    ``mode_factors`` pass at centroid 0 gives f0 = f there and the flux
     factors (``integrand_factors``), and c = (shift - f0) / cos(phi).
     Returns the real-space paths about c, the flux factors and f0."""
     sf = mode_factors(spec, block.amps, 0.0, params)
@@ -146,8 +142,8 @@ def _on_surface(spec: Surface, block: ModeBlock, shift, params: ThermoParams):
     # sf is freed and c takes the memory of shift before the paths are
     # built, which lowers the peak memory of a large inline ensemble
     del sf
-    c = np.subtract(shift, f0, out=shift if np.ndim(shift) else None)
-    c /= _cos_phi(spec)
+    c = np.subtract(shift, f0, out=shift)
+    c /= np.cos(spec.phi)
     return block.paths(c), factors, f0
 
 
@@ -198,7 +194,7 @@ def rate_estimates(
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_samples)
     sigma_c = params.hbar * np.sqrt(params.beta / params.mass)
-    cos_phi, mean_f0_sq = _cos_phi(spec), 0.0
+    cos_phi, mean_f0_sq = np.cos(spec.phi), 0.0
     if not isinstance(spec, CentroidSurface):
         # E[N^2] = sum_j w_j sigma_j^2 over the free-ring amplitudes
         cols, W, _ = _mode_weights(spec, P)
@@ -214,7 +210,7 @@ def rate_estimates(
         v = np.sum(pot.value(q, out=q), axis=-1)
         return (v, *factors, np.array([np.sum(f0), np.vdot(f0, f0)]))
 
-    v_sum, F_rpmd, F_ha, lw, f0_sums = map_free_ring_paths(params, n_samples, rng, per_path)
+    v_sum, F_rpmd, F_ha, f0_sums = map_free_ring_paths(params, n_samples, rng, per_path)
     f0_mean, f0_sq = f0_sums.reshape(-1, 2).sum(axis=0) / n_samples
     sigma_f = np.sqrt(cos_phi**2 * sigma_c**2 + max(f0_sq - f0_mean**2, 0.0))
     widths = WINDOW_WIDTHS * sigma_f
@@ -230,7 +226,7 @@ def rate_estimates(
     base += vals
     np.exp(base, out=base)
     x = np.multiply(z, s, out=z)  # f - d
-    diverged = bool(np.any(lw > OVERFLOW_GUARD))
+    diverged = bool(np.any(np.isinf(F_ha)))
 
     pref = np.sqrt(P / (2.0 * np.pi * params.mass * params.beta))
     per = n_samples // n_batches
@@ -306,7 +302,6 @@ def grid_oracle_rate(pot: Potential, spec: Surface, d: float, params: ThermoPara
     P = params.bead_count
     if P > ORACLE_MAX_BEADS:
         raise ValueError(f"grid oracle restricted to P <= {ORACLE_MAX_BEADS}")
-    cos_phi = _cos_phi(spec)
     sigma = free_ring_mode_std(params)
 
     def quad(cells):
@@ -314,14 +309,14 @@ def grid_oracle_rate(pot: Potential, spec: Surface, d: float, params: ThermoPara
         t = ORACLE_HALF_WIDTH * ((2.0 * np.arange(cells) + 1.0) / cells - 1.0)
         grids = np.meshgrid(*([t] * (P - 1)), indexing="ij")
         xi = np.stack([g.ravel() for g in grids], axis=-1) * sigma
-        q, (F_rpmd, F_ha, _), _ = _on_surface(spec, ModeBlock(xi), d, params)
+        q, (F_rpmd, F_ha), _ = _on_surface(spec, ModeBlock(xi), np.full(len(xi), float(d)), params)
         rho = np.exp(log_rho_ring(q, params, pot))
         if np.any(np.isinf(F_ha)):
             raise OverflowError("harmonic-analysis weight overflows on grid")
         cell = np.prod(2.0 * ORACLE_HALF_WIDTH * sigma / cells)
         return {"kza_rpmd": np.sum(rho * F_rpmd) * cell, "kza_ha": np.sum(rho * F_ha) * cell}
 
-    pref = np.sqrt(P / (2.0 * np.pi * params.mass * params.beta)) * np.sqrt(P) / abs(cos_phi)
+    pref = np.sqrt(P / (2.0 * np.pi * params.mass * params.beta)) * np.sqrt(P) / abs(np.cos(spec.phi))
     coarse = {key: pref * v for key, v in quad(ORACLE_CELLS).items()}
     fine = {key: pref * v for key, v in quad(2 * ORACLE_CELLS).items()}
     for key, value in coarse.items():

@@ -1,10 +1,11 @@
 """Deterministic CSV/JSON artifact writers.
 
 Every artifact embeds the configuration hash and library version so a
-result file can always be traced back to its exact inputs.  CSV numbers
-are written with 9 significant digits; JSON keeps full double precision
-and writes a non-finite number (NaN, +-inf), which JSON has no literal
-for, as null.
+result file can always be traced back to its exact inputs, and a writer
+makes its file's directory, so none exists without an artifact.  CSV
+numbers are written with 9 significant digits; JSON keeps full double
+precision and writes a non-finite number (NaN, +-inf), which JSON has no
+literal for, as null.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ def _fmt(v) -> str:
 
 def write_csv(path, fieldnames, rows, cfg_hash: str) -> None:
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         f"# config_sha256={cfg_hash}",
         f"# library_version={_library_version()}",
@@ -59,6 +61,7 @@ def _finite_or_null(v):
 
 def write_json(path, payload: dict, cfg_hash: str) -> None:
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "config_sha256": cfg_hash,

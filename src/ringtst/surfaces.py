@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,7 +60,10 @@ def _check_phi(phi: float, floor: float) -> None:
 
 @dataclass(frozen=True)
 class CentroidSurface:
-    """Bead-average dividing coordinate."""
+    """Bead-average dividing coordinate, the phi = 0 surface (phi is a
+    class constant, not a field)."""
+
+    phi: ClassVar[float] = 0.0
 
 
 @dataclass(frozen=True)
@@ -119,12 +123,6 @@ def _check_order(spec: Surface, P: int) -> None:
         raise ValueError("surface offset exceeds P - 1")
 
 
-def _check(spec: Surface, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    _check_order(spec, q.shape[-1])
-    return q
-
-
 def _raise_if_singular(norm, amps, centroid) -> None:
     """Raise SingularSurfaceError where the norm term is at most _NORM_FLOOR
     times max(1, |q|), with |q|^2 = sum amps^2 + P c^2 (the basis is
@@ -153,9 +151,10 @@ class SurfaceFactors:
     g_p:            link-form g_P; None when no ThermoParams were given
 
     T is kept in Fourier-mode form, T_k = t0 + t1 sum_j mu_j a_j B_kj with
-    B = fourier_mode_basis(P) and a the amplitudes of the path (mu = None
-    for a T that is constant along the ring), so that ``t_diff`` reads two
-    rows of B and no (rows, P) array is built unless t_vec is read.
+    B = fourier_mode_basis(P) and a the amplitudes of the path (mu = 0 for
+    the centroid), so that ``t_diff`` reads two rows of B and no (rows, P)
+    array is built unless t_vec is read.  A factor equal on every path is a
+    read-only zero-stride view of one scalar.
     """
 
     f: np.ndarray
@@ -166,24 +165,18 @@ class SurfaceFactors:
     _t0: np.ndarray = field(repr=False)
     _t1: np.ndarray = field(repr=False)
     _amps: np.ndarray = field(repr=False)
-    _mu: np.ndarray | None = field(repr=False)
+    _mu: np.ndarray = field(repr=False)
 
     @functools.cached_property
     def t_vec(self) -> np.ndarray:
         lead, P = self._amps.shape[:-1], self._amps.shape[-1] + 1
-        a = self._amps.reshape(-1, P - 1)
-        t0 = self._t0.reshape(-1, 1)
-        if self._mu is None:
-            return np.broadcast_to(t0, (a.shape[0], P)).reshape(lead + (P,))
-        T = _irfft_paths(a * self._mu, 0.0)
+        T = _irfft_paths(self._amps.reshape(-1, P - 1) * self._mu, 0.0)
         T *= self._t1.reshape(-1, 1)
-        T += t0
+        T += self._t0.reshape(-1, 1)
         return T.reshape(lead + (P,))
 
     def t_diff(self, k: int):
         """Backward unit-gradient difference T_{k-1} - T_k (cyclic in k)."""
-        if self._mu is None:
-            return np.zeros_like(self._t0)[()]
         P = self._amps.shape[-1] + 1
         rows = _basis_rows(P, np.array([(k - 1) % P, k % P]))
         return (self._t1 * (self._amps @ ((rows[0] - rows[1]) * self._mu)))[()]
@@ -237,21 +230,20 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
     t1 = sin(phi) / (R N): B_P = cos^2(phi) / P + t1^2 |curv|^2 and
     S = t1^2 sum_k (curv_{k+1} - curv_k)^2 / B_P.
 
-    Only f depends on the centroid: at centroid 0 it is f0 = sin(phi) N / R
-    (0 on the centroid surface), which the estimators read to solve the
-    surface constraint for the centroid.  Where N is at most 1e-12 of
-    max(1, |q|), with |q| at the given centroids, it raises
-    SingularSurfaceError.
+    Only f depends on the centroid: at centroid 0 it is f0 = sin(phi) N / R,
+    which the estimators read to solve the surface constraint for the
+    centroid.  The centroid surface (phi = 0, N = 0) keeps f = c and the
+    constants B_P = 1/P, flux sum, sum-difference and g_P = 0 as read-only
+    scalar views.  Where N is at most 1e-12 of max(1, |q|), with |q| at the
+    given centroids, it raises SingularSurfaceError.
     """
     amps = np.asarray(amps, dtype=float)
     lead, P = amps.shape[:-1], amps.shape[-1] + 1
     _check_order(spec, P)
     a = amps.reshape(-1, P - 1)
-    n = a.shape[0]
     c = np.broadcast_to(np.asarray(centroid, dtype=float), lead).reshape(-1)
-    mu = None
     if isinstance(spec, CentroidSurface):
-        f, B, t0, t1 = c.copy(), np.full(n, 1.0 / P), 1.0 / P, 0.0
+        f, B, t0, t1, mu = c, 1.0 / P, 1.0 / P, 0.0, np.zeros(P - 1)
         S, link = 0.0, 0.0
     else:
         cos_phi, sin_phi = np.cos(spec.phi), np.sin(spec.phi)
@@ -275,7 +267,7 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
 
     def shaped(x):
         x = np.asarray(x)
-        return (np.full(n, x) if x.ndim == 0 else x).reshape(lead)[()]
+        return (np.broadcast_to(x, lead) if x.ndim == 0 else x.reshape(lead))[()]
 
     return SurfaceFactors(
         f=shaped(f),
@@ -294,7 +286,6 @@ def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> Sur
     """``mode_factors`` of real-space paths q (..., P): one centred rfft
     maps them to their amplitudes and centroids.  Scalars for a single
     path, arrays over the leading axes for a batch."""
-    q = _check(spec, q)
     return mode_factors(spec, *mode_amplitudes(q), params)
 
 
@@ -312,7 +303,7 @@ def g_p(spec: Surface, q, params: ThermoParams):
     qbar changes nothing exactly, since sum_k (T_{k-1} - T_k) = 0, but
     keeps the rounding at the scale of the fluctuations rather than of |q|.
     """
-    q = _check(spec, q)
+    q = np.asarray(q, dtype=float)
     T = surface_factors(spec, q).t_vec
     coef = _g_p_coef(params, q.shape[-1])
     dq = q - np.mean(q, axis=-1, keepdims=True)

@@ -226,7 +226,7 @@ def test_criterion_5_centroid_degeneracy():
     rng = np.random.default_rng(2)
     q = rng.standard_normal((2000, 8))
     params = ThermoParams(bead_count=8)
-    F_rpmd, F_ha, _ = integrand_factors(surface_factors(CentroidSurface(), q, params), params)
+    F_rpmd, F_ha = integrand_factors(surface_factors(CentroidSurface(), q, params), params)
     per_config = bool(np.max(np.abs(F_ha / F_rpmd - 1.0)) < 1e-12)
     rep = rate_estimates(Harmonic(omega=1.0), CentroidSurface(), 0.0, params, n_samples=20_000, seed=5)
     estimates = abs(rep.kza_ha / rep.kza_rpmd - 1.0) < 1e-12

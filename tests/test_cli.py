@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 import ringtst
 from ringtst import cli, rates
 from ringtst.cli import CONFIG_SCHEMA, ConfigError, load_config, main, validate_config
+from ringtst.params import ThermoParams
+from ringtst.potentials import Eckart
+from ringtst.surfaces import QuadDiffSurface
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -351,7 +354,7 @@ def test_rate_mode_at_bead_count_draws_no_path(tmp_path, capsys, monkeypatch, or
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     assert_one_error_line(capsys, "Fourier-norm mode 3 at P = 3", "depends on the centroid")
-    assert not (out / "rate.json").exists()
+    assert not out.exists()
     assert draws == []
 
 
@@ -367,7 +370,7 @@ def test_surface_without_its_key_exits_2(tmp_path, capsys, command, surface, key
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     assert_one_error_line(capsys, f"needs the key {key!r}")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_rate_rejected_oracle_input_draws_no_path(tmp_path, monkeypatch):
@@ -615,6 +618,33 @@ def test_numerical_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, 
     assert main(["--command", "rate", "--out", str(out)]) == 2
     assert_one_error_line(capsys, type(exc).__name__, str(exc))
     assert not (out / "rate.json").exists()
+
+
+def test_oracle_overflow_exits_2_before_any_path(tmp_path, capsys, monkeypatch):
+    """Both estimators read divergence from an infinite F_ha: with every
+    log-weight past the guard, rate_estimates flags divergence, and the grid
+    oracle raises OverflowError before any path is drawn or any directory
+    is made."""
+    monkeypatch.setattr(rates, "OVERFLOW_GUARD", -1.0)
+    spec = QuadDiffSurface(offset=1, phi=0.7)
+    assert rates.rate_estimates(Eckart(), spec, 0.1, ThermoParams(bead_count=3), n_samples=1000).divergence_flag
+    draws = []
+    monkeypatch.setattr(rates, "map_free_ring_paths", lambda *a, **k: draws.append(a))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "command: rate\n"
+        "thermo: {bead_count: 3}\n"
+        "potential: {kind: eckart}\n"
+        "surface: {kind: quad_diff, offset: 1, phi: 0.7}\n"
+        "d: 0.1\n"
+        "n_samples: 1000\n"
+        "grid_oracle: true\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert_one_error_line(capsys, "OverflowError")
+    assert draws == []
+    assert not out.exists()
 
 
 def test_window_extrapolation_failure_exits_2(tmp_path, capsys):

@@ -11,6 +11,7 @@ from ringtst.rates import (
     OVERFLOW_GUARD,
     free_ring_mean_f,
     grid_oracle_rate,
+    ha_log_weight,
     integrand_factors,
     rate_estimates,
     ratio_sweep,
@@ -64,7 +65,7 @@ def test_window_reduction_matches_per_width_polyfit():
     f = f_eval(spec, q)
     # the widths: the spread of f with the centroid drawn from N(d, sigma_c^2)
     widths = np.array([0.2, 0.1, 0.05]) * np.sqrt(cos_phi**2 * sigma_c**2 + np.var(f0))
-    F_rpmd, F_ha, _ = integrand_factors(surface_factors(spec, q, params), params)
+    F_rpmd, F_ha = integrand_factors(surface_factors(spec, q, params), params)
     pref = np.sqrt(params.bead_count / (2.0 * np.pi * params.mass * params.beta))
     per = n // n_batches
 
@@ -298,9 +299,10 @@ def test_centroid_degeneracy_per_configuration():
     params = ThermoParams(bead_count=12)
     rng = np.random.default_rng(8)
     q = rng.standard_normal((500, 12))
-    F_rpmd, F_ha, lw = integrand_factors(surface_factors(CentroidSurface(), q, params), params)
+    sf = surface_factors(CentroidSurface(), q, params)
+    F_rpmd, F_ha = integrand_factors(sf, params)
     assert F_ha == pytest.approx(F_rpmd, rel=1e-12)
-    assert np.all(lw < 1e-24)  # g_P is zero up to roundoff
+    assert np.all(ha_log_weight(sf.g_p, params) < 1e-24)  # g_P is zero up to roundoff
 
 
 def test_centroid_degeneracy_in_estimates():
@@ -393,11 +395,10 @@ def test_divergence_flag_in_rate_report():
     params = ThermoParams(bead_count=64)
     spec = FourierNormSurface(mode=32, phi=np.pi / 4)
     from ringtst.paths import SinusoidalPathSpec, sinusoidal_path
-    from ringtst.rates import ha_log_weight
     from ringtst.surfaces import g_p
 
     q = sinusoidal_path(SinusoidalPathSpec(0.0, 1.0, 32, np.pi / 4), 64)
     lw = float(ha_log_weight(g_p(spec, q, params), params))
     assert lw > OVERFLOW_GUARD
-    _, F_ha, _ = integrand_factors(surface_factors(spec, q[None, :], params), params)
+    _, F_ha = integrand_factors(surface_factors(spec, q[None, :], params), params)
     assert np.isinf(F_ha[0])

@@ -194,7 +194,8 @@ def test_link_and_cyclic_g_p_agree(case):
 @pytest.mark.parametrize("P", [2, 3, 8, 1024])
 def test_centroid_closed_form_matches_generic(P):
     """The centroid's closed form against the Fourier-norm evaluation at
-    phi = 0, whose gradient is the same 1/P on every bead."""
+    phi = 0, whose gradient is the same 1/P on every bead; its constant
+    factors are scalars broadcast over the paths, not stored per path."""
     q = 0.7 * np.random.default_rng(P).standard_normal((50, P)) + 1.3
     params = ThermoParams(bead_count=P)
     closed = surface_factors(CentroidSurface(), q, params)
@@ -204,6 +205,12 @@ def test_centroid_closed_form_matches_generic(P):
         got, want = getattr(closed, name), getattr(generic, name)
         assert np.all(np.abs(got - want) <= 1e-15 * sc[name]), name
     assert np.all(closed.g_p == 0.0)
+    for name in ("b_p", "flux_sum", "sum_difference", "g_p"):
+        assert getattr(closed, name).strides == (0,), name
+    block = mode_factors(CentroidSurface(), np.ones((4, 5, P - 1)), 0.0, params)
+    for name in ("b_p", "flux_sum", "sum_difference", "g_p"):
+        x = getattr(block, name)
+        assert x.shape == (4, 5) and x.strides == (0, 0), name
 
 
 def test_single_path_gives_scalars():
