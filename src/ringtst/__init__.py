@@ -18,9 +18,8 @@ from .scaling import (
     ModeSchedule,
     ScalingSeries,
     figure1_emit,
-    gp_series,
+    matching_path_series,
     quaddiff_orders,
-    sumdiff_series,
     tdiff_series,
 )
 from .surfaces import (
@@ -56,8 +55,7 @@ __all__ = [
     "ModeSchedule",
     "ScalingSeries",
     "tdiff_series",
-    "gp_series",
-    "sumdiff_series",
+    "matching_path_series",
     "figure1_emit",
     "quaddiff_orders",
     "RateReport",

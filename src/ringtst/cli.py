@@ -1,11 +1,14 @@
 """Command-line front end: validate a config, dispatch, write artifacts.
 
 Commands (``COMMANDS``): ``surface-check`` (one ``surface_factors`` pass
-over 1000 random paths: B_P and f statistics, and its g_P against the
-cyclic form of ``surfaces.g_p``, relative to max(|g_P|, median |g_P|)),
-``scaling`` (P sweeps of the surface quantities on matching sinusoidal
-paths), ``figure1`` (the log-log dataset and fitted slopes), ``rate`` and
-``ratio-sweep`` (the Monte-Carlo rate estimators).
+over 1000 random paths: B_P and f statistics, and its link-form g_P
+against the cyclic form ``surfaces.g_p`` rolls from the same pass's T,
+relative to max(|g_P|, median |g_P|)), ``scaling`` (P sweeps on matching
+sinusoidal paths: the closed-form T-difference and its envelope, then
+|g_P| and |sum-difference| from one ``surface_factors`` pass per P),
+``figure1`` (the log-log dataset and fitted slopes, from closed forms
+alone), ``rate`` and ``ratio-sweep`` (the Monte-Carlo rate estimators).
+Each command evaluates each path's surface once.
 
 A config is YAML (parsed with libyaml when PyYAML has it) and is checked
 by walking ``CONFIG_SCHEMA``, the one declarative description of the keys.
@@ -262,7 +265,7 @@ def cmd_figure1(cfg, out: Path, cfg_hash: str) -> int:
 
 
 def cmd_scaling(cfg, out: Path, cfg_hash: str) -> int:
-    from .scaling import DEFAULT_P_SWEEP, gp_series, schedule_from_config, sumdiff_series, tdiff_series
+    from .scaling import DEFAULT_P_SWEEP, matching_path_series, schedule_from_config, tdiff_series
 
     P_list = cfg.get("p_list", list(DEFAULT_P_SWEEP))
     sched = schedule_from_config(cfg.get("schedule"))
@@ -271,10 +274,8 @@ def cmd_scaling(cfg, out: Path, cfg_hash: str) -> int:
     if sched.rule == "fracP" and abs(sched.value - 0.5) < 1e-12 and alpha == 0.0:
         alpha = np.pi / 4  # the half-mode path vanishes identically at alpha = 0
     series = [
-        tdiff_series(sched, k=cfg["k_index"], alpha=alpha, P_list=P_list, variant="figure"),
-        tdiff_series(sched, k=cfg["k_index"], alpha=alpha, P_list=P_list, variant="amplitude"),
-        gp_series(sched, P_list, params, alpha=alpha),
-        sumdiff_series(sched, P_list, alpha=alpha),
+        *tdiff_series(sched, k=cfg["k_index"], alpha=alpha, P_list=P_list),
+        *matching_path_series(sched, P_list, params, alpha=alpha),
     ]
     rows = [
         {"quantity": s.quantity_name, "P": P, "value": v}
@@ -347,7 +348,7 @@ def cmd_surface_check(cfg, out: Path, cfg_hash: str) -> int:
     rng = np.random.default_rng(cfg["seed"])
     q = rng.standard_normal((1000, params.bead_count))
     sf = surface_factors(spec, q, params)
-    g_cyc = g_p(spec, q, params)
+    g_cyc = g_p(sf.t_vec, q, params)
     # a path's mismatch is relative to max(|g_P|, the ensemble's median |g_P|)
     denom = np.maximum(np.abs(sf.g_p), max(np.median(np.abs(sf.g_p)), 1e-300))
     payload = {

@@ -1,7 +1,10 @@
 """Bead-count sweeps: power-law behavior of surface quantities.
 
-Deterministic series evaluate single-mode sinusoidal paths against a
-Fourier-norm surface with a matching mode; stochastic series average over
+Deterministic series follow single-mode sinusoidal paths against a
+Fourier-norm surface with a matching mode: ``tdiff_series`` gives the
+T-difference and its envelope in closed form, with no surface pass, and
+``matching_path_series`` reads |g_P| and |sum-difference| from one
+``surface_factors`` pass per P.  Stochastic series average over
 thermal free-particle paths against the quadratic-difference surface,
 reduced block by block through ``paths.map_free_ring_paths`` (on the
 worker pool, each block drawing its own normals, when the ensemble spans
@@ -27,7 +30,7 @@ from .surfaces import FourierNormSurface, QuadDiffSurface, mode_factors, surface
 DEFAULT_P_SWEEP = tuple(2**k for k in range(4, 13))  # 16 .. 4096
 STOCHASTIC_P_SWEEP = tuple(2**k for k in range(4, 10))  # 16 .. 512
 
-# mixing angle of the matching-path Fourier-norm surfaces (gp and sumdiff series)
+# mixing angle of the matching-path Fourier-norm surfaces (matching_path_series)
 MATCHING_PHI = np.pi / 2
 
 # quad-diff surface angle, T-difference index and largest accepted fit
@@ -72,7 +75,7 @@ class ModeSchedule:
     @property
     def label(self) -> str:
         if self.rule == "constant":
-            return f"constant({int(self.value)})"
+            return f"constant({int(round(self.value))})"
         if self.rule == "sqrtP":
             return "sqrtP"
         return f"fracP({self.value:g})"
@@ -109,68 +112,49 @@ class ScalingSeries:
         )
 
 
-def _matching_pair(schedule: ModeSchedule, P: int, alpha: float):
-    n = schedule.mode(P)
-    spec = FourierNormSurface(mode=n, phi=MATCHING_PHI, phi_floor=0.0)
-    q = sinusoidal_path(SinusoidalPathSpec(q0=0.0, amplitude=1.0, mode=n, phase=alpha), P)
-    return spec, q
-
-
 def tdiff_series(
     schedule: ModeSchedule,
     k: int = 2,
     alpha: float = 0.0,
     P_list=DEFAULT_P_SWEEP,
-    variant: str = "figure",
-) -> ScalingSeries:
-    """|T_{k-1} - T_k| on matching sinusoidal paths over a P sweep.
-
-    variant='figure':    the k-resolved trigonometric series of the log-log
-                         figure (oscillates through phase zeros as P varies,
-                         so finite-range slope fits are biased);
-    variant='amplitude': its smooth oscillation envelope, whose fitted slope
-                         recovers the asymptotic exponent.
+) -> tuple[ScalingSeries, ScalingSeries]:
+    """|T_{k-1} - T_k| on matching sinusoidal paths over a P sweep, as the
+    pair (literal, envelope): the k-resolved trigonometric series of the
+    log-log figure, which oscillates through phase zeros as P varies, so
+    finite-range slope fits are biased; and its smooth oscillation
+    envelope, whose fitted slope recovers the asymptotic exponent.
     """
-    values = []
-    for P in P_list:
-        n = schedule.mode(P)
-        if variant == "figure":
-            v = abs(float(tdiff_figure(P, n, k=k, alpha=alpha)))
-        elif variant == "amplitude":
-            v = float(tdiff_figure_amplitude(P, n))
-        else:
-            raise ValueError(f"unknown variant: {variant!r}")
-        values.append(v)
-    return ScalingSeries.from_points(f"tdiff[{schedule.label},{variant}]", P_list, values)
+    modes = [schedule.mode(P) for P in P_list]
+    literal = [abs(float(tdiff_figure(P, n, k=k, alpha=alpha))) for P, n in zip(P_list, modes)]
+    envelope = [float(tdiff_figure_amplitude(P, n)) for P, n in zip(P_list, modes)]
+    return (
+        ScalingSeries.from_points(f"tdiff[{schedule.label},figure]", P_list, literal),
+        ScalingSeries.from_points(f"tdiff[{schedule.label},amplitude]", P_list, envelope),
+    )
 
 
-def gp_series(
+def matching_path_series(
     schedule: ModeSchedule,
     P_list,
     params: ThermoParams,
     alpha: float = 0.0,
-) -> ScalingSeries:
-    """|g_P| on matching unit-amplitude sinusoidal paths, generic evaluation
-    (phi = MATCHING_PHI)."""
-    values = []
+) -> tuple[ScalingSeries, ScalingSeries]:
+    """(|g_P|, |sum-difference|) on matching unit-amplitude sinusoidal
+    paths, generic evaluation (phi = MATCHING_PHI): at each P the path of
+    mode n(P) and phase alpha against the Fourier-norm surface of the same
+    mode, both read from one ``surface_factors`` pass."""
+    gp, sumdiff = [], []
     for P in P_list:
-        spec, q = _matching_pair(schedule, P, alpha)
-        values.append(abs(float(surface_factors(spec, q, params.with_beads(P)).g_p)))
-    return ScalingSeries.from_points(f"gp[{schedule.label}]", P_list, values)
-
-
-def sumdiff_series(
-    schedule: ModeSchedule,
-    P_list=DEFAULT_P_SWEEP,
-    alpha: float = 0.0,
-) -> ScalingSeries:
-    """|sum-difference| on matching sinusoidal paths, generic evaluation
-    (phi = MATCHING_PHI)."""
-    values = []
-    for P in P_list:
-        spec, q = _matching_pair(schedule, P, alpha)
-        values.append(abs(float(surface_factors(spec, q).sum_difference)))
-    return ScalingSeries.from_points(f"sumdiff[{schedule.label}]", P_list, values)
+        n = schedule.mode(P)
+        spec = FourierNormSurface(mode=n, phi=MATCHING_PHI, phi_floor=0.0)
+        q = sinusoidal_path(SinusoidalPathSpec(q0=0.0, amplitude=1.0, mode=n, phase=alpha), P)
+        sf = surface_factors(spec, q, params.with_beads(P))
+        gp.append(abs(float(sf.g_p)))
+        sumdiff.append(abs(float(sf.sum_difference)))
+    return (
+        ScalingSeries.from_points(f"gp[{schedule.label}]", P_list, gp),
+        ScalingSeries.from_points(f"sumdiff[{schedule.label}]", P_list, sumdiff),
+    )
 
 
 FIGURE_SCHEDULES = (
@@ -190,8 +174,7 @@ def figure1_emit(P_list=DEFAULT_P_SWEEP, k: int = 2, alpha: float = 0.0):
     rows = []
     fits = {}
     for sched in FIGURE_SCHEDULES:
-        literal = tdiff_series(sched, k=k, alpha=alpha, P_list=P_list, variant="figure")
-        envelope = tdiff_series(sched, k=k, alpha=alpha, P_list=P_list, variant="amplitude")
+        literal, envelope = tdiff_series(sched, k=k, alpha=alpha, P_list=P_list)
         fits[sched.label] = {
             "literal_slope": literal.fitted_exponent,
             "amplitude_slope": envelope.fitted_exponent,

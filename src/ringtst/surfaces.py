@@ -24,9 +24,10 @@ amplitudes, and one code path evaluates them, with no real-space pass;
 only f depends on c, so the estimators evaluate at c = 0.
 ``surface_factors`` takes real-space paths to the same evaluator through
 one centred rfft; the gradient of f is sqrt(B_P) T.  ``g_p`` keeps the
-cyclic form of g_P, a bead sum over the irfft-built T, as a cross-check
-of the closed-form link sum; no ensemble calls them.  The real-space
-reference of every quantity lives in the tests.
+cyclic form of g_P, a bead sum over the T of that same pass, as a
+cross-check of the closed-form link sum; it makes no surface pass of its
+own, and no ensemble calls it.  The real-space reference of every
+quantity lives in the tests.
 
 A Fourier-norm mode n lies in 1 .. P - 1 (``_check_order``): mode P, like
 mode 0, has L_n = P |c|, a norm that depends on the centroid.  The rfft
@@ -289,25 +290,25 @@ def surface_factors(spec: Surface, q, params: ThermoParams | None = None) -> Sur
     return mode_factors(spec, *mode_amplitudes(q), params)
 
 
-def g_p(spec: Surface, q, params: ThermoParams):
+def g_p(t_vec, q, params: ThermoParams):
     """Path-dependent coupling g_P(q) in the cyclic form,
 
         (m P / 2 beta hbar) sum_k (q_k - qbar) (T_{k-1} - T_k),
 
-    the cross-check of the link form
-    (m P / 2 beta hbar) sum_k (q_{k+1} - q_k) T_k that ``surface_factors``
+    of paths q (..., P) and their unit gradients T, ``SurfaceFactors.t_vec``
+    of the pass that evaluated them: the cross-check of the link form
+    (m P / 2 beta hbar) sum_k (q_{k+1} - q_k) T_k that the same pass
     returns as ``SurfaceFactors.g_p``.  The two are identical by cyclic
     re-summation: the link form is a closed form in the mode amplitudes,
-    while this one rolls the real-space T that ``SurfaceFactors.t_vec``
-    builds with irfft and sums over the beads.  Subtracting the centroid
-    qbar changes nothing exactly, since sum_k (T_{k-1} - T_k) = 0, but
-    keeps the rounding at the scale of the fluctuations rather than of |q|.
+    while this one rolls the irfft-built T and sums over the beads.
+    Subtracting the centroid qbar changes nothing exactly, since
+    sum_k (T_{k-1} - T_k) = 0, but keeps the rounding at the scale of the
+    fluctuations rather than of |q|.
     """
     q = np.asarray(q, dtype=float)
-    T = surface_factors(spec, q).t_vec
     coef = _g_p_coef(params, q.shape[-1])
     dq = q - np.mean(q, axis=-1, keepdims=True)
-    return coef * np.sum(dq * (np.roll(T, 1, axis=-1) - T), axis=-1)
+    return coef * np.sum(dq * (np.roll(t_vec, 1, axis=-1) - t_vec), axis=-1)
 
 
 @dataclass(frozen=True)

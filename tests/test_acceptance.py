@@ -26,7 +26,7 @@ from ringtst.scaling import (
     DEFAULT_P_SWEEP,
     STOCHASTIC_P_SWEEP,
     ModeSchedule,
-    gp_series,
+    matching_path_series,
     quaddiff_orders,
     tdiff_series,
 )
@@ -59,7 +59,7 @@ SCHEDULES = [
 def test_criterion_1_figure_slopes_literal():
     t0 = time.time()
     slopes = {
-        s.label: tdiff_series(s, k=2, alpha=0.0, variant="figure").fitted_exponent
+        s.label: tdiff_series(s, k=2, alpha=0.0)[0].fitted_exponent
         for s, _ in SCHEDULES
     }
     ok = all(abs(slopes[s.label] - w) <= 0.05 for s, w in SCHEDULES)
@@ -77,7 +77,7 @@ def test_criterion_1_figure_slopes_literal():
 def test_criterion_1_figure_slopes_envelope():
     t0 = time.time()
     slopes = {
-        s.label: tdiff_series(s, k=2, alpha=0.0, variant="amplitude").fitted_exponent
+        s.label: tdiff_series(s, k=2, alpha=0.0)[1].fitted_exponent
         for s, _ in SCHEDULES
     }
     ok = all(abs(slopes[s.label] - w) <= 0.05 for s, w in SCHEDULES)
@@ -95,7 +95,7 @@ def test_criterion_2_gp_sinusoidal_exponents():
     got = {}
     for sched, want, alpha in cases:
         got[sched.label] = (
-            gp_series(sched, DEFAULT_P_SWEEP, PARAMS, alpha=alpha).fitted_exponent,
+            matching_path_series(sched, DEFAULT_P_SWEEP, PARAMS, alpha=alpha)[0].fitted_exponent,
             want,
         )
     ok = all(abs(g - w) <= 0.05 for g, w in got.values())
@@ -168,7 +168,7 @@ def test_criterion_3_spot_value_sumdiff():
 def test_criterion_3_spot_value_gp():
     spec = FourierNormSurface(mode=8, phi=np.pi / 2, phi_floor=0.0)
     q = sinusoidal_path(SinusoidalPathSpec(0.0, 1.0, 8, np.pi / 4), 16)
-    got = float(g_p(spec, q, PARAMS))
+    got = float(g_p(surface_factors(spec, q).t_vec, q, PARAMS))
     ok = abs(got + 64.0) <= 1e-7
     assert report(3, "spot value g_P = -64", ok, f"generic {got:.7f}")
 
@@ -186,10 +186,9 @@ def test_criterion_4_identity_suite():
     ok = True
     q_big = rng.standard_normal((1000, P))
     for spec in surfaces:
-        link = surface_factors(spec, q_big, PARAMS).g_p
-        cyc = g_p(spec, q_big, PARAMS)
+        sf = surface_factors(spec, q_big, PARAMS)
+        link, cyc = sf.g_p, g_p(sf.t_vec, q_big, PARAMS)
         ok &= bool(np.all(np.abs(link - cyc) <= 1e-10 * np.maximum(np.abs(link), 1.0)))
-        sf = surface_factors(spec, q_big)
         flux = np.sum(np.sqrt(sf.b_p)[:, None] * sf.t_vec**2, axis=-1)
         ok &= bool(np.max(np.abs(flux - np.sqrt(sf.b_p))) < 1e-12)
         q1 = q_big[0]

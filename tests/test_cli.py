@@ -35,7 +35,7 @@ PUBLIC_NAMES = {
     "__version__", "ThermoParams", "Potential", "FreeParticle", "Harmonic", "Eckart", "DoubleWell",
     "SinusoidalPathSpec", "sinusoidal_path", "log_rho_ring", "CentroidSurface", "FourierNormSurface",
     "QuadDiffSurface", "SingularSurfaceError", "SurfaceFactors", "surface_factors", "g_p",
-    "equivalence_diagnostics", "ModeSchedule", "ScalingSeries", "tdiff_series", "gp_series", "sumdiff_series",
+    "equivalence_diagnostics", "ModeSchedule", "ScalingSeries", "tdiff_series", "matching_path_series",
     "figure1_emit", "quaddiff_orders", "RateReport", "rate_estimates", "grid_oracle_rate", "ratio_sweep",
 }
 
@@ -199,25 +199,61 @@ def test_n_paths_rejected(tmp_path):
     assert not out.exists()
 
 
-def test_scaling_command(tmp_path):
+def _scaling_series_names(tmp_path, schedule):
+    """The quantity names of a ``scaling`` run in summary order, after
+    checking that the CSV lists the same names in the same order."""
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(
-        "command: scaling\nschedule: {rule: constant, value: 1}\np_list: [16, 32, 64, 128]\n"
-    )
+    cfg.write_text(f"command: scaling\nschedule: {schedule}\np_list: [16, 32, 64, 128]\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "scaling_summary.json").read_text())
-    names = {s["quantity"] for s in doc["series"]}
-    assert any("gp[" in n for n in names)
-    assert (tmp_path / "scaling.csv").exists()
+    names = [s["quantity"] for s in doc["series"]]
+    # rows below two comment lines and the header; a name holds a comma, so split from the right
+    csv_names = [line.rsplit(",", 2)[0] for line in (tmp_path / "scaling.csv").read_text().splitlines()[3:]]
+    assert list(dict.fromkeys(csv_names)) == names
+    return names
+
+
+def test_scaling_command(tmp_path):
+    names = _scaling_series_names(tmp_path, "{rule: constant, value: 1}")
+    assert names == [
+        "tdiff[constant(1),figure]", "tdiff[constant(1),amplitude]", "gp[constant(1)]", "sumdiff[constant(1)]"
+    ]
 
 
 def test_scaling_half_mode_schedule(tmp_path):
     # the half-mode path vanishes at alpha = 0, so every series moves to pi/4
+    names = _scaling_series_names(tmp_path, "{rule: fracP, value: 0.5}")
+    assert names == [
+        "tdiff[fracP(0.5),figure]", "tdiff[fracP(0.5),amplitude]", "gp[fracP(0.5)]", "sumdiff[fracP(0.5)]"
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, config, rows",
+    [
+        ("scaling", "schedule: {rule: sqrtP}\n", 9),  # one matching path per P of DEFAULT_P_SWEEP
+        ("surface-check", "surface: {kind: fourier_norm, mode: 3, phi: 0.7}\n", 1000),
+        ("figure1", "", 0),  # closed forms only
+    ],
+    ids=["scaling", "surface-check", "figure1"],
+)
+def test_one_surface_pass_per_path(tmp_path, monkeypatch, command, config, rows):
+    """Each command hands every path it evaluates to ``mode_factors`` once."""
+    from ringtst import scaling, surfaces
+
+    seen = []
+    inner = surfaces.mode_factors
+
+    def counted(spec, amps, centroid, params=None):
+        seen.append(math.prod(amps.shape[:-1]))
+        return inner(spec, amps, centroid, params)
+
+    for module in (surfaces, scaling):
+        monkeypatch.setattr(module, "mode_factors", counted)
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("command: scaling\nschedule: {rule: fracP, value: 0.5}\np_list: [16, 32, 64, 128]\n")
+    cfg.write_text(f"command: {command}\n{config}")
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
-    doc = json.loads((tmp_path / "scaling_summary.json").read_text())
-    assert len(doc["series"]) == 4
+    assert sum(seen) == rows
 
 
 @pytest.mark.parametrize(

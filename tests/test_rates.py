@@ -398,7 +398,7 @@ def test_divergence_flag_in_rate_report():
     from ringtst.surfaces import g_p
 
     q = sinusoidal_path(SinusoidalPathSpec(0.0, 1.0, 32, np.pi / 4), 64)
-    lw = float(ha_log_weight(g_p(spec, q, params), params))
+    lw = float(ha_log_weight(g_p(surface_factors(spec, q).t_vec, q, params), params))
     assert lw > OVERFLOW_GUARD
     _, F_ha = integrand_factors(surface_factors(spec, q[None, :], params), params)
     assert np.isinf(F_ha[0])

@@ -13,10 +13,9 @@ from ringtst.scaling import (
     ModeSchedule,
     ScalingSeries,
     figure1_emit,
-    gp_series,
+    matching_path_series,
     quaddiff_orders,
     schedule_from_config,
-    sumdiff_series,
     tdiff_series,
 )
 from ringtst.surfaces import QuadDiffSurface, mode_factors
@@ -55,6 +54,15 @@ def test_mode_schedule_rules():
         ModeSchedule.frac_p(2.0).mode(16)
 
 
+def test_schedule_label_names_the_evaluated_mode():
+    # a non-integral constant rounds in the label as in the mode
+    s = ModeSchedule("constant", 2.7)
+    assert (s.label, s.mode(16)) == ("constant(3)", 3)
+    assert ModeSchedule.constant(1).label == "constant(1)"
+    assert ModeSchedule.sqrt_p().label == "sqrtP"
+    assert ModeSchedule.frac_p(0.25).label == "fracP(0.25)"
+
+
 def test_schedule_from_config():
     assert schedule_from_config({"rule": "sqrtP"}) == ModeSchedule.sqrt_p()
     s = schedule_from_config({"rule": "constant", "value": 2})
@@ -78,12 +86,12 @@ def test_tdiff_amplitude_exponents():
         (ModeSchedule.frac_p(0.25), -0.5),
     ]
     for sched, want in cases:
-        s = tdiff_series(sched, variant="amplitude")
+        _, s = tdiff_series(sched)
         assert abs(s.fitted_exponent - want) < 0.05
 
 
 def test_tdiff_quartermode_value_and_slope():
-    s = tdiff_series(ModeSchedule.frac_p(0.25), variant="figure")
+    s, _ = tdiff_series(ModeSchedule.frac_p(0.25))
     assert abs(s.fitted_exponent + 0.5) < 0.05
     assert s.points[0] == (16, pytest.approx(0.7071068, abs=1e-7))
 
@@ -95,17 +103,17 @@ def test_gp_exponents_sinusoidal():
         (ModeSchedule.frac_p(0.25), 1.5, 0.0),
     ]
     for sched, want, alpha in cases:
-        s = gp_series(sched, DEFAULT_P_SWEEP, PARAMS, alpha=alpha)
+        s, _ = matching_path_series(sched, DEFAULT_P_SWEEP, PARAMS, alpha=alpha)
         assert abs(s.fitted_exponent - want) < 0.05
 
 
 def test_gp_half_schedule_spot_value():
-    s = gp_series(ModeSchedule.frac_p(0.5), [16, 32], PARAMS, alpha=np.pi / 4)
+    s, _ = matching_path_series(ModeSchedule.frac_p(0.5), [16, 32], PARAMS, alpha=np.pi / 4)
     assert s.points[0] == (16, pytest.approx(64.0, abs=1e-10))
 
 
 def test_sumdiff_exponent_constant_schedule():
-    s = sumdiff_series(ModeSchedule.constant(1))
+    _, s = matching_path_series(ModeSchedule.constant(1), DEFAULT_P_SWEEP, PARAMS)
     assert abs(s.fitted_exponent + 2.5) < 0.1
 
 

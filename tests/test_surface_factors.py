@@ -185,10 +185,9 @@ def test_surface_factors_cyclic_invariance(case, shift):
 @example((FourierNormSurface(mode=1, phi=1.0), np.array([1.453079861, 1.453082256]), ThermoParams(bead_count=2)))
 def test_link_and_cyclic_g_p_agree(case):
     spec, q, params = case
-    link = surface_factors(spec, q, params).g_p
-    cyc = g_p(spec, q, params)
-    B = surface_factors(spec, q).b_p
-    assert_close("g_p", link, cyc, scales(q, params, B)["g_p"])
+    sf = surface_factors(spec, q, params)
+    cyc = g_p(sf.t_vec, q, params)
+    assert_close("g_p", sf.g_p, cyc, scales(q, params, sf.b_p)["g_p"])
 
 
 @pytest.mark.parametrize("P", [2, 3, 8, 1024])

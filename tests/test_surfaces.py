@@ -80,8 +80,8 @@ def test_gp_link_and_cyclic_forms_agree():
     rng = np.random.default_rng(3)
     q = rng.standard_normal((1000, 16))
     for spec in SURFACES:
-        link = surface_factors(spec, q, PARAMS).g_p
-        cyc = g_p(spec, q, PARAMS)
+        sf = surface_factors(spec, q, PARAMS)
+        link, cyc = sf.g_p, g_p(sf.t_vec, q, PARAMS)
         tol = 1e-10 * np.maximum(np.abs(link), 1.0)
         assert np.all(np.abs(link - cyc) <= tol)
 
@@ -111,7 +111,7 @@ def test_centroid_trivia():
     assert np.all(gradient(spec, q) == 1.0 / 16.0)
     sf = surface_factors(spec, q)
     assert np.all(sf.t_vec == 0.25)
-    assert g_p(spec, q, PARAMS) == pytest.approx(0.0, abs=1e-12)
+    assert g_p(sf.t_vec, q, PARAMS) == pytest.approx(0.0, abs=1e-12)
     assert sf.t_diff(5) == 0.0
     assert sf.sum_difference == pytest.approx(0.0, abs=1e-15)
 
@@ -183,7 +183,7 @@ def test_gp_sinusoidal_closed_form():
     spec = FourierNormSurface(mode=n, phi=np.pi / 2, phi_floor=0.0)
     q = sinusoidal_path(SinusoidalPathSpec(0.0, 1.0, n, np.pi / 4), P)
     pp = PARAMS.with_beads(P)
-    assert g_p(spec, q, pp) == pytest.approx(-64.0, abs=1e-10)
+    assert g_p(surface_factors(spec, q).t_vec, q, pp) == pytest.approx(-64.0, abs=1e-10)
     assert float(gp_sinusoidal(P, n, 1.0, np.pi / 2, pp)) == pytest.approx(-64.0, abs=1e-10)
 
 
@@ -194,7 +194,7 @@ def test_half_mode_closed_forms_match_generic():
     sf = surface_factors(spec, q)
     assert sf.b_p == pytest.approx(float(half_mode_b_p(phi, P)), abs=1e-12)
     assert abs(sf.t_diff(2)) == pytest.approx(float(half_mode_tdiff_abs(phi, P)), abs=1e-10)
-    assert g_p(spec, q, PARAMS) == pytest.approx(float(half_mode_gp(phi, q, PARAMS)), rel=1e-10)
+    assert g_p(sf.t_vec, q, PARAMS) == pytest.approx(float(half_mode_gp(phi, q, PARAMS)), rel=1e-10)
 
 
 def test_tdiff_figure_series_spot_value():
