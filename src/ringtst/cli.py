@@ -271,7 +271,7 @@ def cmd_scaling(cfg, out: Path, cfg_hash: str) -> int:
     sched = schedule_from_config(cfg.get("schedule"))
     params = _thermo(cfg)
     alpha = cfg["alpha"]
-    if sched.rule == "fracP" and abs(sched.value - 0.5) < 1e-12 and alpha == 0.0:
+    if alpha == 0.0 and any(2 * sched.mode(P) == P for P in P_list):
         alpha = np.pi / 4  # the half-mode path vanishes identically at alpha = 0
     series = [
         *tdiff_series(sched, k=cfg["k_index"], alpha=alpha, P_list=P_list),

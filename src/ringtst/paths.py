@@ -14,21 +14,23 @@ thread, whose paths are one dense matmul.  Larger ensembles run on a
 thread pool in blocks of BLOCK_ELEMS elements: each block draws its own
 amplitudes in its worker, from its own child of the caller's generator
 (``rng.spawn``), and reduces them to per-path values or per-block sums,
-building its paths, if asked, with ``np.fft.irfft`` into a spectrum and a
-path array, and any amplitudes the caller derives into an amplitude
-buffer (``ModeBlock.scratch``), which each worker thread reuses for every
-block of the call, so the whole ensemble is never held at once and no
-block allocates path-sized scratch of its own.  Block boundaries are
-fixed by BLOCK_ELEMS and each child is tied to a block index, so the
-results do not depend on the number of cores.  ``mode_amplitudes`` is the
-inverse map, from real-space paths back to their amplitudes and centroids.
+building its paths, if asked, with ``np.fft.irfft``.  A pooled block takes
+its scratch arrays (the spectrum and the paths, or amplitudes a caller
+derives) by name from ``ModeBlock.scratch``: each worker thread keeps one
+buffer per name for the call, grown when a request outgrows it and
+dropped when the call returns, so the whole ensemble is never held at
+once and no block allocates path-sized scratch of its own.  Block
+boundaries are fixed by BLOCK_ELEMS and each child is tied to a block
+index, so the results do not depend on the number of cores.
+``mode_amplitudes`` is the inverse map, from real-space paths back to
+their amplitudes and centroids.
 """
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,20 +141,6 @@ def _spectrum_scale(P: int) -> np.ndarray:
     return w
 
 
-def _path_buffers(rows: int, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for the paths of up to ``rows`` pooled paths of P beads: a
-    (rows, P // 2 + 1) spectrum, zeroed so that its DC and Nyquist-imaginary
-    columns, which ``_irfft_paths`` never writes, stay zero, and a (rows, P)
-    path array."""
-    return np.zeros((rows, P // 2 + 1), dtype=complex), np.empty((rows, P))
-
-
-def _amp_buffer(rows: int, cols: int) -> np.ndarray:
-    """Scratch for up to ``rows`` pooled rows of ``cols`` mode amplitudes,
-    flat, for ``ModeBlock.scratch``."""
-    return np.empty(rows * cols)
-
-
 def _irfft_paths(
     amps: np.ndarray, centroid, spec: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -160,16 +148,17 @@ def _irfft_paths(
     the scaled amplitudes fill the spectrum in place of a matmul, and irfft
     gives q_k = sqrt(2/P) (a_l cos + b_l sin)(2 pi l k / P) + a_N (-1)^k /
     sqrt(P).  The centroid is a scalar or a (rows, 1) column.  ``spec`` and
-    ``out``, if given, are (rows, P // 2 + 1) and (rows, P) arrays from
-    ``_path_buffers`` that the spectrum and the paths are written into; the
-    spectrum's columns 0, 1 and (even P) P + 1 of its float view must be
-    zero."""
+    ``out``, if given, are a complex (rows, P // 2 + 1) array and a
+    (rows, P) array that the spectrum and the paths are written into."""
     rows, P = amps.shape[0], amps.shape[1] + 1
     if spec is None:
-        spec = np.zeros((rows, P // 2 + 1), dtype=complex)
-    # columns 2 .. P of the (re, im) view are X_1 .. X_{P/2}, imaginary
-    # part of the Nyquist term excluded (odd P has no Nyquist term)
-    np.multiply(amps, _spectrum_scale(P), out=spec.view(float)[:, 2 : P + 1])
+        spec = np.empty((rows, P // 2 + 1), dtype=complex)
+    # columns 2 .. P of the (re, im) view are X_1 .. X_{P/2}; the DC term
+    # and the imaginary part of the Nyquist term (even P) are zero
+    re_im = spec.view(float)
+    re_im[:, :2] = 0.0
+    re_im[:, P + 1 :] = 0.0
+    np.multiply(amps, _spectrum_scale(P), out=re_im[:, 2 : P + 1])
     q = np.fft.irfft(spec, n=P, axis=-1, out=out)
     q += centroid
     return q
@@ -192,50 +181,51 @@ class ModeBlock:
     """A block of paths in Fourier-mode coordinates: amps is (rows, P - 1),
     the fluctuations amps @ fourier_mode_basis(P).T of each path about its
     centroid, and ``start`` the index of its first path in the ensemble, in
-    draw order.  A block from the worker pool carries
-    ``buffers``: given a scratch factory (``_path_buffers``,
-    ``_amp_buffer``) and its arguments after the row count, it returns what
-    that factory made for the block's worker thread on the first request of
-    this ``map_free_ring_paths`` call, which the thread reuses for each of
-    its blocks in the call."""
+    draw order.  A block from the worker pool carries ``workspace``, the
+    ``map_free_ring_paths`` call's per-thread store of scratch buffers
+    (``scratch``)."""
 
     amps: np.ndarray
-    buffers: Callable[..., object] | None = field(default=None, repr=False)
+    workspace: threading.local | None = field(default=None, repr=False)
     start: int = 0
 
     @property
     def pooled(self) -> bool:
         """Whether the block runs on the worker pool."""
-        return self.buffers is not None
+        return self.workspace is not None
 
     def paths(self, centroid) -> np.ndarray:
         """The (rows, P) real-space paths about centroid (a scalar or one
         value per row): one dense matmul for an ensemble handed over whole
         (at small P it is cheaper than irfft), irfft with no BLAS call for a
-        pooled block.  The caller may overwrite them in place.  A pooled
-        block writes them into its worker's path buffer: they stay valid
-        until the next block in that worker builds its paths."""
+        pooled block, into its ``"spectrum"`` and ``"paths"`` scratch.  The
+        caller may overwrite them in place."""
         c = np.asarray(centroid, dtype=float)
         c = float(c) if c.ndim == 0 else c.reshape(-1, 1)
+        rows, P = self.amps.shape[0], self.amps.shape[1] + 1
         if self.pooled:
-            spec, q = self.buffers(_path_buffers, self.amps.shape[1] + 1)
-            rows = len(self.amps)
-            return _irfft_paths(self.amps, c, spec[:rows], q[:rows])
-        q = self.amps @ fourier_mode_basis(self.amps.shape[1] + 1).T
+            spec = self.scratch("spectrum", (rows, P // 2 + 1), complex)
+            return _irfft_paths(self.amps, c, spec, self.scratch("paths", (rows, P)))
+        q = self.amps @ fourier_mode_basis(P).T
         q += c
         return q
 
-    def scratch(self, cols: int) -> np.ndarray:
-        """A C-contiguous (rows, cols) float array for the caller to fill: a
-        fresh one for an inline block.  A pooled block's is the start of its
-        worker's ``_amp_buffer``, made by the worker's first request of the
-        call with room for that many columns of any block, so a later
-        request may ask for fewer columns, not more; every request returns
-        the same memory, valid until the next one in that worker."""
-        rows = len(self.amps)
+    def scratch(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        """A C-contiguous array of ``shape`` for the caller to fill: a fresh
+        one for an inline block.  A pooled block's is the start of its
+        worker thread's buffer ``name`` for this call (one dtype per name),
+        made on the first request and grown when a request outgrows it; it
+        stays valid until that worker's next request for ``name``."""
         if not self.pooled:
-            return np.empty((rows, cols))
-        return self.buffers(_amp_buffer, cols)[: rows * cols].reshape(rows, cols)
+            return np.empty(shape, dtype)
+        size = math.prod(shape)
+        bufs = vars(self.workspace)
+        if name not in bufs or bufs[name].size < size:
+            # the smaller buffer goes first, so that the two are never held
+            # at once unless the caller still holds a view of the old one
+            bufs.pop(name, None)
+            bufs[name] = np.empty(size, dtype)
+        return bufs[name][:size].reshape(shape)
 
 
 def _usable_cores() -> int:
@@ -267,13 +257,13 @@ def map_free_ring_paths(params: ThermoParams, n_samples: int, rng: np.random.Gen
     Otherwise block i holds BLOCK_ELEMS // P paths (the last one the rest)
     and runs on the pool: its worker draws them with
     ``free_ring_amplitudes(params, rows, rng.spawn(n_blocks)[i])`` and
-    applies per_path.  A pooled block's paths are built into a spectrum and
-    a path array that its worker thread creates when its first block of
-    this call builds paths, reuses for its later blocks and drops when the
-    call returns; ``block.paths(c)`` is valid until the next block in that
-    worker builds its own, so the results that are views are copied; the
-    same holds for ``block.scratch``.  The caller's own stream is not
-    advanced.  An exception raised by per_path reaches the caller.
+    applies per_path.  A pooled block's scratch (``ModeBlock.scratch``,
+    which its paths are built into) lives in a ``threading.local`` that this
+    call makes and drops when it returns: each worker thread reuses its
+    buffers for its later blocks, so a block's paths are valid until the
+    next block in that worker builds its own, and the results that are
+    views are copied.  The caller's own stream is not advanced.  An
+    exception raised by per_path reaches the caller.
     """
     P = params.bead_count
     rows = max(1, BLOCK_ELEMS // P)
@@ -281,19 +271,13 @@ def map_free_ring_paths(params: ThermoParams, n_samples: int, rng: np.random.Gen
         return tuple(per_path(ModeBlock(free_ring_amplitudes(params, n_samples, rng))))
     from concurrent.futures import wait
 
-    # scratch of each worker thread, by factory, for this call only: a
-    # thread runs one block at a time, so its blocks take turns with it
-    scratch = {}
-
-    def buffers(make, *args):
-        key = threading.get_ident(), make
-        if key not in scratch:
-            scratch[key] = make(rows, *args)
-        return scratch[key]
+    # each worker thread's scratch for this call only: a thread runs one
+    # block at a time, so its blocks take turns with its buffers
+    workspace = threading.local()
 
     def block(child, lo):
         z = free_ring_amplitudes(params, min(rows, n_samples - lo), child)
-        out = per_path(ModeBlock(z, buffers, lo))
+        out = per_path(ModeBlock(z, workspace, lo))
         # views are copied, so that no result reads a buffer the next block
         # reuses; arrays that own their memory are passed on as they are
         return tuple(x if x.base is None else x.copy() for x in map(np.asarray, out))

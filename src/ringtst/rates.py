@@ -26,9 +26,10 @@ than 8 MB of paths (below) is drawn and evaluated in fixed blocks on a
 thread pool, each block drawing its own normals
 (``paths.map_free_ring_paths``), with results independent of the core
 count.  The potential is evaluated in place, over the paths (for a pooled
-block, in the path buffer its worker reuses).  The delta constraint is
-realized by Gaussian windows of three fixed widths, whose means are
-extrapolated to zero width by a line in the squared width.
+block, in the ``"paths"`` scratch its worker thread reuses for the call,
+``paths.ModeBlock.scratch``).  The delta constraint is realized by
+Gaussian windows of three fixed widths, whose means are extrapolated to
+zero width by a line in the squared width.
 
 Grid oracle, P <= 4: a midpoint-rule quadrature over the P - 1 fluctuation
 modes, with the delta constraint solved exactly for the centroid

@@ -3,9 +3,10 @@
 Every artifact embeds the configuration hash and library version so a
 result file can always be traced back to its exact inputs, and a writer
 makes its file's directory, so none exists without an artifact.  CSV
-numbers are written with 9 significant digits; JSON keeps full double
-precision and writes a non-finite number (NaN, +-inf), which JSON has no
-literal for, as null.
+fields are quoted only where they must be (a comma, a quote, a line
+break), and numbers are written with 9 significant digits; JSON keeps full
+double precision and writes a non-finite number (NaN, +-inf), which JSON
+has no literal for, as null.
 """
 from __future__ import annotations
 
@@ -37,16 +38,15 @@ def _fmt(v) -> str:
 
 
 def write_csv(path, fieldnames, rows, cfg_hash: str) -> None:
+    import csv  # here, so that a process that writes no CSV never loads it
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"# config_sha256={cfg_hash}",
-        f"# library_version={_library_version()}",
-        ",".join(fieldnames),
-    ]
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in fieldnames))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as fh:
+        fh.write(f"# config_sha256={cfg_hash}\n# library_version={_library_version()}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([_fmt(row[k]) for k in fieldnames] for row in rows)
 
 
 def _finite_or_null(v):

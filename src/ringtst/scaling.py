@@ -13,7 +13,9 @@ from the drawn Fourier-mode amplitudes, with no real-space path.  One
 ensemble is drawn at the largest P of a sweep, and each smaller P reads
 the leading P - 1 normals of every path (the coupling of multilevel Monte
 Carlo), so every P is an exact free-ring ensemble and all share common
-random numbers.
+random numbers.  A block rescales them, one P after another, into its
+``"rung"`` scratch (``paths.ModeBlock.scratch``), which a pooled block's
+worker thread reuses for the call.
 """
 from __future__ import annotations
 
@@ -241,14 +243,14 @@ def quaddiff_orders(
 
     def per_block(block):
         sums = np.empty((3, len(rungs)))
-        # from the top down, so that the first rung to ask for scratch asks
-        # for the most columns
-        for i, (pp, spec, scale) in reversed(list(enumerate(rungs))):
+        for i, (pp, spec, scale) in enumerate(rungs):
             a = block.amps
             if scale is not None:
-                a = np.multiply(a[:, : scale.size], scale, out=block.scratch(scale.size))
+                a = np.multiply(a[:, : scale.size], scale, out=block.scratch("rung", (len(a), scale.size)))
             sf = mode_factors(spec, a, 0.0, pp)
             sums[:, i] = np.sum(sf.b_p), np.sum(np.abs(sf.t_diff(QUADDIFF_K))), np.sum(np.abs(sf.g_p))
+            # sf holds a: let go of this rung's scratch before the next rung grows it
+            del a, sf
         return tuple(sums)
 
     sums = map_free_ring_paths(top, n_paths, np.random.default_rng(seed), per_block)

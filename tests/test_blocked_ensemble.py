@@ -1,11 +1,14 @@
 """The blocked, pooled evaluation of large free ring-polymer ensembles:
 the irfft transform and its rfft inverse, which ensembles stay in the
 calling thread, the per-block random streams, independence of the worker
-count, agreement with dense paths on the same normals, the per-worker path
-and rung buffers, and errors raised inside a worker."""
+count, agreement with dense paths on the same normals, the per-worker,
+per-call scratch buffers, and errors raised inside a worker."""
 import dataclasses
 import sys
 import threading
+import time
+import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -213,24 +216,49 @@ def test_pooled_matches_dense_draw(monkeypatch, spec):
         assert getattr(pooled, key) == pytest.approx(getattr(dense, key), rel=1e-9, abs=0.0)
 
 
-def _spy_path_buffers(monkeypatch):
-    """The threads that call paths._path_buffers, in call order."""
+def _two_worker_scratch(monkeypatch):
+    """A fresh two-worker pool in place of the default one, and the pooled
+    requests of ModeBlock.scratch as (thread, name, buffer) triples, which
+    hold each buffer alive."""
     made = []
-    factory = paths._path_buffers
+    scratch = paths.ModeBlock.scratch
 
-    def spy(rows, P):
-        made.append(threading.get_ident())
-        return factory(rows, P)
+    def spy(block, name, shape, dtype=float):
+        out = scratch(block, name, shape, dtype)
+        if block.pooled:
+            made.append((threading.get_ident(), name, out.base))
+        return out
 
-    monkeypatch.setattr(paths, "_path_buffers", spy)
-    return made
+    monkeypatch.setattr(paths.ModeBlock, "scratch", spy)
+    pool = ThreadPoolExecutor(max_workers=2)
+    monkeypatch.setattr(paths, "_pool", lambda: pool)
+    return made, pool
 
 
-def test_pooled_estimate_makes_path_buffers_once_per_worker(monkeypatch):
-    """One pooled rate_estimates call of 10 blocks on two workers builds
-    its paths in at most one spectrum and path buffer per worker thread,
-    none in the calling thread, and gives the same report as with the
-    default pool."""
+def _buffers_per_worker(made):
+    """The number of distinct buffers each (thread, name) was handed; made
+    holds them all alive, so their ids are distinct."""
+    return Counter((thread, name) for thread, name, _ in {(t, n, id(b)) for t, n, b in made})
+
+
+def _assert_freed(made):
+    """Every buffer in made dies once made lets go of it: the call that
+    handed it out kept it in no store that outlives the call.  A worker
+    drops its last block a moment after that block's result is set, so
+    this waits up to 5 s."""
+    refs = [weakref.ref(buf) for *_, buf in made]
+    made.clear()
+    deadline = time.monotonic() + 5.0
+    while any(r() is not None for r in refs) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert refs and all(r() is None for r in refs)
+
+
+def test_pooled_estimate_takes_each_buffer_once_per_worker(monkeypatch):
+    """One pooled rate_estimates call of 10 blocks on two workers makes its
+    "spectrum" and "paths" buffers at most once per worker thread, none in
+    the calling thread, gives the same report as the default pool, and
+    frees its buffers when it returns."""
     spec = FourierNormSurface(mode=2, phi=0.5)
     params = ThermoParams(bead_count=POOLED["P"])
 
@@ -238,55 +266,39 @@ def test_pooled_estimate_makes_path_buffers_once_per_worker(monkeypatch):
         return rate_estimates(Eckart(), spec, 0.0, params, n_samples=POOLED["n"], seed=8, n_batches=25)
 
     want = estimate()
-    made = _spy_path_buffers(monkeypatch)
-    pool = ThreadPoolExecutor(max_workers=2)
-    monkeypatch.setattr(paths, "_pool", lambda: pool)
+    made, pool = _two_worker_scratch(monkeypatch)
     try:
         got = estimate()
+        counts = _buffers_per_worker(made)
+        assert {name for _, name in counts} == {"spectrum", "paths"}
+        assert set(counts.values()) == {1}
+        threads = {thread for thread, _ in counts}
+        assert 1 <= len(threads) <= 2 and threading.get_ident() not in threads
+        _assert_freed(made)
     finally:
         pool.shutdown()
-    assert 1 <= len(made) <= 2 and len(set(made)) == len(made)
-    assert threading.get_ident() not in made
     assert got == want
 
 
-def test_quaddiff_orders_makes_no_path_buffers(monkeypatch):
-    """quaddiff_orders reads only the amplitudes of its pooled blocks, so it
-    builds no path and allocates no path buffer."""
-    made = _spy_path_buffers(monkeypatch)
-    quaddiff_orders("one", P_list=(128, 256), n_paths=POOLED["n"], seed=5)
-    assert made == []
+def test_quaddiff_orders_takes_no_path_buffers(monkeypatch):
+    """quaddiff_orders reads only the amplitudes of its pooled blocks, so on
+    two workers it asks for no path or spectrum buffer, only its rungs'
+    amplitudes, in worker threads, with the same result as the default
+    pool, and frees them when it returns."""
 
-
-def test_quaddiff_orders_makes_rung_buffers_once_per_worker(monkeypatch):
-    """The pooled rungs below the top of one quaddiff_orders call write
-    their amplitudes into at most one buffer per worker thread, none in the
-    calling thread, with the same result as the default pool; an inline
-    draw takes none."""
-
-    def orders(n_paths):
-        rep = quaddiff_orders("one", P_list=(64, 128, 256), n_paths=n_paths, seed=5)
+    def orders():
+        rep = quaddiff_orders("one", P_list=(64, 128, 256), n_paths=POOLED["n"], seed=5)
         return {k: (s.points, s.fitted_exponent) for k, s in rep.series.items()}
 
-    want = orders(POOLED["n"])
-    made = []
-    factory = paths._amp_buffer
-
-    def spy(rows, cols):
-        made.append(threading.get_ident())
-        return factory(rows, cols)
-
-    monkeypatch.setattr(paths, "_amp_buffer", spy)
-    orders(paths.BLOCK_ELEMS // 256)
-    assert made == []
-    pool = ThreadPoolExecutor(max_workers=2)
-    monkeypatch.setattr(paths, "_pool", lambda: pool)
+    want = orders()
+    made, pool = _two_worker_scratch(monkeypatch)
     try:
-        got = orders(POOLED["n"])
+        got = orders()
+        assert {name for _, name, _ in made} == {"rung"}
+        assert threading.get_ident() not in {thread for thread, _, _ in made}
+        _assert_freed(made)
     finally:
         pool.shutdown()
-    assert 1 <= len(made) <= 2 and len(set(made)) == len(made)
-    assert threading.get_ident() not in made
     assert got == want
 
 

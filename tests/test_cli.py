@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import math
@@ -207,9 +208,11 @@ def _scaling_series_names(tmp_path, schedule):
     assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "scaling_summary.json").read_text())
     names = [s["quantity"] for s in doc["series"]]
-    # rows below two comment lines and the header; a name holds a comma, so split from the right
-    csv_names = [line.rsplit(",", 2)[0] for line in (tmp_path / "scaling.csv").read_text().splitlines()[3:]]
-    assert list(dict.fromkeys(csv_names)) == names
+    # rows below two comment lines and the header
+    with (tmp_path / "scaling.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))[2:]
+    assert rows[0] == ["quantity", "P", "value"] and all(len(row) == 3 for row in rows)
+    assert list(dict.fromkeys(row[0] for row in rows[1:])) == names
     return names
 
 
@@ -226,6 +229,33 @@ def test_scaling_half_mode_schedule(tmp_path):
     assert names == [
         "tdiff[fracP(0.5),figure]", "tdiff[fracP(0.5),amplitude]", "gp[fracP(0.5)]", "sumdiff[fracP(0.5)]"
     ]
+
+
+def _without_config_hash(path):
+    return re.sub(r"config_sha256\W+\w+", "", path.read_text())
+
+
+@pytest.mark.parametrize(
+    "config, shifted",
+    [
+        ("schedule: {rule: sqrtP}\np_list: [4, 16, 64]\n", True),  # mode 2 at P = 4
+        ("schedule: {rule: constant, value: 8}\np_list: [16, 32]\n", True),  # mode 8 at P = 16
+        ("schedule: {rule: fracP, value: 0.5}\n", True),  # every P of DEFAULT_P_SWEEP
+        ("schedule: {rule: fracP, value: 0.5}\np_list: [5, 9, 17]\n", False),  # no half mode at odd P
+    ],
+    ids=["sqrtP", "constant(8)", "fracP(0.5)", "fracP(0.5)-odd-P"],
+)
+def test_scaling_half_mode_moves_alpha(tmp_path, config, shifted):
+    """The half-mode path sin(pi k) vanishes at alpha = 0, so a schedule
+    that gives mode P/2 at some P of the list runs every series at alpha =
+    pi/4: its artifacts equal those of the same config with that alpha,
+    but for the config hash.  Other lists keep alpha = 0."""
+    for name, alpha in (("default", ""), ("pi4", f"alpha: {math.pi / 4!r}\n")):
+        (tmp_path / f"{name}.yaml").write_text(f"command: scaling\n{config}{alpha}")
+        assert main(["--config", str(tmp_path / f"{name}.yaml"), "--out", str(tmp_path / name)]) == 0
+    for artifact in ("scaling.csv", "scaling_summary.json"):
+        default, pi4 = (_without_config_hash(tmp_path / name / artifact) for name in ("default", "pi4"))
+        assert (default == pi4) == shifted
 
 
 @pytest.mark.parametrize(
