@@ -24,7 +24,8 @@ syntax error is one line too, with the problem's line and column.
 
 Exit codes: 0 success; 2 configuration/validation error (also a
 Fourier-norm surface with no ``mode``, or a quad-diff one with no
-``offset``, which the schema does not require), or a numerical failure
+``offset``, which the schema does not require, and a surface or
+potential key that its kind does not read), or a numerical failure
 (window extrapolation non-monotone, grid oracle not converged under
 refinement, harmonic-analysis weight overflow on the oracle grid), reported
 as one ``error:`` line on stderr, with no output directory made (each

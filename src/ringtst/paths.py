@@ -6,24 +6,24 @@ cyclic wrap-around (index P is bead 0 again).
 The exact free ring-polymer sampler draws the P - 1 fluctuation amplitudes
 of ``fourier_mode_basis`` as scaled normals (``free_ring_amplitudes``, the
 one draw of every ensemble); a ``ModeBlock`` holds them, and builds the
-real-space paths about the centroids a caller gives only when it asks.
-``map_free_ring_paths`` hands an ensemble of at most BLOCK_ELEMS path
-elements (1 MB), or of fewer than POOL_MIN_BEADS beads and at most
-INLINE_ELEMS elements (8 MB), over in one block drawn in the calling
-thread, whose paths are one dense matmul.  Larger ensembles run on a
-thread pool in blocks of BLOCK_ELEMS elements: each block draws its own
-amplitudes in its worker, from its own child of the caller's generator
-(``rng.spawn``), and reduces them to per-path values or per-block sums,
-building its paths, if asked, with ``np.fft.irfft``.  A pooled block takes
-its scratch arrays (the spectrum and the paths, or amplitudes a caller
-derives) by name from ``ModeBlock.scratch``: each worker thread keeps one
-buffer per name for the call, grown when a request outgrows it and
-dropped when the call returns, so the whole ensemble is never held at
-once and no block allocates path-sized scratch of its own.  Block
-boundaries are fixed by BLOCK_ELEMS and each child is tied to a block
-index, so the results do not depend on the number of cores.
-``mode_amplitudes`` is the inverse map, from real-space paths back to
-their amplitudes and centroids.
+real-space paths about the centroids a caller gives only when it asks:
+one dense mode-basis matmul below POOL_MIN_BEADS beads, ``np.fft.irfft``
+from there on, whatever the block's size or thread.  Every block takes
+its scratch arrays (the paths and their spectrum, or amplitudes a caller
+derives) by name from ``ModeBlock.scratch``, one buffer per name and
+thread in the block's workspace, grown when a request outgrows it.
+``map_free_ring_paths`` runs every block the same way, in a workspace
+that lives for the call: an ensemble of at most BLOCK_ELEMS path elements
+(1 MB), or of fewer than POOL_MIN_BEADS beads and at most INLINE_ELEMS
+elements (8 MB), is one block drawn from the caller's generator in the
+calling thread.  Larger ensembles run on a thread pool in blocks of
+BLOCK_ELEMS elements: each block draws its own amplitudes in its worker,
+from its own child of the caller's generator (``rng.spawn``), and reduces
+them to per-path values or per-block sums, so the whole ensemble is never
+held at once.  Block boundaries are fixed by BLOCK_ELEMS and each child
+is tied to a block index, so the results do not depend on the number of
+cores.  ``mode_amplitudes`` is the inverse map, from real-space paths
+back to their amplitudes and centroids.
 """
 from __future__ import annotations
 
@@ -46,7 +46,8 @@ BLOCK_ELEMS = 1 << 17
 # elements (8 MB of paths) are drawn whole and evaluated in the calling
 # thread: pooling the P = 3, n = 200k ensemble (600k elements) made its
 # estimate about 8 % slower.  Above INLINE_ELEMS they are pooled, which
-# keeps the memory of an ensemble bounded by its blocks.
+# keeps the memory of an ensemble bounded by its blocks.  POOL_MIN_BEADS
+# also sets the path kernel: a dense matmul below it, irfft from it on.
 POOL_MIN_BEADS = 16
 INLINE_ELEMS = 1 << 20
 
@@ -141,27 +142,20 @@ def _spectrum_scale(P: int) -> np.ndarray:
     return w
 
 
-def _irfft_paths(
-    amps: np.ndarray, centroid, spec: np.ndarray | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Paths from a (rows, P - 1) block of amplitudes, with no BLAS call:
-    the scaled amplitudes fill the spectrum in place of a matmul, and irfft
-    gives q_k = sqrt(2/P) (a_l cos + b_l sin)(2 pi l k / P) + a_N (-1)^k /
-    sqrt(P).  The centroid is a scalar or a (rows, 1) column.  ``spec`` and
-    ``out``, if given, are a complex (rows, P // 2 + 1) array and a
-    (rows, P) array that the spectrum and the paths are written into."""
-    rows, P = amps.shape[0], amps.shape[1] + 1
-    if spec is None:
-        spec = np.empty((rows, P // 2 + 1), dtype=complex)
+def _irfft_paths(amps: np.ndarray, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fluctuation paths from a (rows, P - 1) block of amplitudes, written
+    into ``out``, a (rows, P) array, with no BLAS call: the scaled
+    amplitudes fill ``spec``, a complex (rows, P // 2 + 1) array, in place
+    of a matmul, and irfft gives q_k = sqrt(2/P) (a_l cos + b_l sin)(2 pi l
+    k / P) + a_N (-1)^k / sqrt(P)."""
+    P = amps.shape[1] + 1
     # columns 2 .. P of the (re, im) view are X_1 .. X_{P/2}; the DC term
     # and the imaginary part of the Nyquist term (even P) are zero
     re_im = spec.view(float)
     re_im[:, :2] = 0.0
     re_im[:, P + 1 :] = 0.0
     np.multiply(amps, _spectrum_scale(P), out=re_im[:, 2 : P + 1])
-    q = np.fft.irfft(spec, n=P, axis=-1, out=out)
-    q += centroid
-    return q
+    return np.fft.irfft(spec, n=P, axis=-1, out=out)
 
 
 def mode_amplitudes(q) -> tuple[np.ndarray, np.ndarray]:
@@ -181,43 +175,35 @@ class ModeBlock:
     """A block of paths in Fourier-mode coordinates: amps is (rows, P - 1),
     the fluctuations amps @ fourier_mode_basis(P).T of each path about its
     centroid, and ``start`` the index of its first path in the ensemble, in
-    draw order.  A block from the worker pool carries ``workspace``, the
-    ``map_free_ring_paths`` call's per-thread store of scratch buffers
-    (``scratch``)."""
+    draw order.  ``workspace`` holds the block's scratch buffers
+    (``scratch``): under ``map_free_ring_paths`` the call's, shared by the
+    blocks each thread runs in turn; a block of its own otherwise."""
 
     amps: np.ndarray
-    workspace: threading.local | None = field(default=None, repr=False)
+    workspace: threading.local = field(default_factory=threading.local, repr=False)
     start: int = 0
-
-    @property
-    def pooled(self) -> bool:
-        """Whether the block runs on the worker pool."""
-        return self.workspace is not None
 
     def paths(self, centroid) -> np.ndarray:
         """The (rows, P) real-space paths about centroid (a scalar or one
-        value per row): one dense matmul for an ensemble handed over whole
-        (at small P it is cheaper than irfft), irfft with no BLAS call for a
-        pooled block, into its ``"spectrum"`` and ``"paths"`` scratch.  The
-        caller may overwrite them in place."""
-        c = np.asarray(centroid, dtype=float)
-        c = float(c) if c.ndim == 0 else c.reshape(-1, 1)
+        value per row), in the ``"paths"`` scratch, which the caller may
+        overwrite in place: one dense matmul below POOL_MIN_BEADS beads,
+        where it is the faster, and irfft with no BLAS call from there on,
+        through the ``"spectrum"`` scratch."""
         rows, P = self.amps.shape[0], self.amps.shape[1] + 1
-        if self.pooled:
-            spec = self.scratch("spectrum", (rows, P // 2 + 1), complex)
-            return _irfft_paths(self.amps, c, spec, self.scratch("paths", (rows, P)))
-        q = self.amps @ fourier_mode_basis(P).T
-        q += c
+        q = self.scratch("paths", (rows, P))
+        if P < POOL_MIN_BEADS:
+            np.matmul(self.amps, fourier_mode_basis(P).T, out=q)
+        else:
+            _irfft_paths(self.amps, self.scratch("spectrum", (rows, P // 2 + 1), complex), q)
+        q += np.reshape(centroid, (-1, 1))
         return q
 
     def scratch(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        """A C-contiguous array of ``shape`` for the caller to fill: a fresh
-        one for an inline block.  A pooled block's is the start of its
-        worker thread's buffer ``name`` for this call (one dtype per name),
-        made on the first request and grown when a request outgrows it; it
-        stays valid until that worker's next request for ``name``."""
-        if not self.pooled:
-            return np.empty(shape, dtype)
+        """A C-contiguous array of ``shape`` for the caller to fill: the
+        start of this thread's buffer ``name`` in the workspace (one dtype
+        per name), made on the first request and grown when a request
+        outgrows it.  It stays valid until the thread's next request for
+        ``name`` in the same workspace."""
         size = math.prod(shape)
         bufs = vars(self.workspace)
         if name not in bufs or bufs[name].size < size:
@@ -256,34 +242,34 @@ def map_free_ring_paths(params: ThermoParams, n_samples: int, rng: np.random.Gen
     ``free_ring_amplitudes(params, n_samples, rng)`` in the calling thread.
     Otherwise block i holds BLOCK_ELEMS // P paths (the last one the rest)
     and runs on the pool: its worker draws them with
-    ``free_ring_amplitudes(params, rows, rng.spawn(n_blocks)[i])`` and
-    applies per_path.  A pooled block's scratch (``ModeBlock.scratch``,
-    which its paths are built into) lives in a ``threading.local`` that this
-    call makes and drops when it returns: each worker thread reuses its
-    buffers for its later blocks, so a block's paths are valid until the
-    next block in that worker builds its own, and the results that are
-    views are copied.  The caller's own stream is not advanced.  An
-    exception raised by per_path reaches the caller.
+    ``free_ring_amplitudes(params, rows, rng.spawn(n_blocks)[i])``, and the
+    caller's own stream is not advanced.  Every block's scratch
+    (``ModeBlock.scratch``, which its paths are built into) lives in a
+    ``threading.local`` that this call makes and drops when it returns:
+    each thread reuses its buffers for its later blocks, so a block's paths
+    are valid until the next block in that thread builds its own, and the
+    results that are views are copied.  An exception raised by per_path
+    reaches the caller.
     """
     P = params.bead_count
     rows = max(1, BLOCK_ELEMS // P)
-    if n_samples <= rows or (P < POOL_MIN_BEADS and n_samples * P <= INLINE_ELEMS):
-        return tuple(per_path(ModeBlock(free_ring_amplitudes(params, n_samples, rng))))
-    from concurrent.futures import wait
-
-    # each worker thread's scratch for this call only: a thread runs one
-    # block at a time, so its blocks take turns with its buffers
+    # each thread's scratch for this call only: a thread runs one block at
+    # a time, so its blocks take turns with its buffers
     workspace = threading.local()
 
-    def block(child, lo):
-        z = free_ring_amplitudes(params, min(rows, n_samples - lo), child)
-        out = per_path(ModeBlock(z, workspace, lo))
+    def block(rng, lo, size):
+        out = per_path(ModeBlock(free_ring_amplitudes(params, size, rng), workspace, lo))
         # views are copied, so that no result reads a buffer the next block
         # reuses; arrays that own their memory are passed on as they are
         return tuple(x if x.base is None else x.copy() for x in map(np.asarray, out))
 
+    if n_samples <= rows or (P < POOL_MIN_BEADS and n_samples * P <= INLINE_ELEMS):
+        return block(rng, 0, n_samples)
+    from concurrent.futures import wait
+
     starts = range(0, n_samples, rows)
-    futures = [_pool().submit(block, child, lo) for child, lo in zip(rng.spawn(len(starts)), starts)]
+    children = rng.spawn(len(starts))
+    futures = [_pool().submit(block, child, lo, min(rows, n_samples - lo)) for child, lo in zip(children, starts)]
     try:
         parts = [f.result() for f in futures]
     finally:

@@ -7,7 +7,7 @@ No estimator needs forces, since every path is an exact free-ring draw.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,10 +61,12 @@ class Eckart(Potential):
     a: float = 1.0
 
     def _into(self, x, out):
-        np.divide(x, self.a, out=out)
-        np.cosh(out, out=out)
-        np.square(out, out=out)
-        return np.divide(self.v0, out, out=out)
+        # on the far tails cosh or its square overflows to inf, and V to 0
+        with np.errstate(over="ignore"):
+            np.divide(x, self.a, out=out)
+            np.cosh(out, out=out)
+            np.square(out, out=out)
+            return np.divide(self.v0, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -83,15 +85,17 @@ class DoubleWell(Potential):
 
 
 def from_config(cfg: dict, mass: float = 1.0) -> Potential:
-    """Build a potential from a {'kind': ..., ...} mapping; ``mass`` is the
-    particle mass of the thermodynamic parameters."""
+    """Build a potential from a {'kind': ..., ...} mapping of its fields;
+    ``mass`` is the particle mass of the thermodynamic parameters.
+    ValueError names a key the kind does not read."""
+    kinds = {"free": FreeParticle, "harmonic": Harmonic, "eckart": Eckart, "double_well": DoubleWell}
     kind = cfg.get("kind", "free")
-    if kind == "free":
-        return FreeParticle()
-    if kind == "harmonic":
-        return Harmonic(omega=cfg.get("omega", 1.0), mass=mass)
-    if kind == "eckart":
-        return Eckart(v0=cfg.get("v0", 1.0), a=cfg.get("a", 1.0))
-    if kind == "double_well":
-        return DoubleWell(v0=cfg.get("v0", 1.0), q0=cfg.get("q0", 1.0))
-    raise ValueError(f"unknown potential kind: {kind!r}")
+    if kind not in kinds:
+        raise ValueError(f"unknown potential kind: {kind!r}")
+    cls = kinds[kind]
+    keys = {f.name for f in fields(cls)} - {"mass"}
+    extra = sorted(cfg.keys() - keys - {"kind"})
+    if extra:
+        raise ValueError(f"potential kind {kind!r} does not read the key {extra[0]!r}")
+    args = {key: cfg[key] for key in keys & cfg.keys()}
+    return cls(**args, mass=mass) if cls is Harmonic else cls(**args)

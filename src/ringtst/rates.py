@@ -25,8 +25,8 @@ proposal density.  An ensemble larger than one block (from 16 beads on) or
 than 8 MB of paths (below) is drawn and evaluated in fixed blocks on a
 thread pool, each block drawing its own normals
 (``paths.map_free_ring_paths``), with results independent of the core
-count.  The potential is evaluated in place, over the paths (for a pooled
-block, in the ``"paths"`` scratch its worker thread reuses for the call,
+count.  The potential is evaluated in place, over the paths (in the
+``"paths"`` scratch that each thread reuses for the call,
 ``paths.ModeBlock.scratch``).  The delta constraint is realized by
 Gaussian windows of three fixed widths, whose means are extrapolated to
 zero width by a line in the squared width.
@@ -205,9 +205,8 @@ def rate_estimates(
 
     def per_path(block):
         q, factors, f0 = _on_surface(spec, block, d + s * z[block.start : block.start + len(block.amps)], params)
-        # the potential overwrites the paths (for a pooled block, its
-        # worker's reused buffer) in place; the sum and sum of squares of
-        # f0 are kept for sigma_f
+        # the potential overwrites the paths (its thread's reused buffer) in
+        # place; the sum and sum of squares of f0 are kept for sigma_f
         v = np.sum(pot.value(q, out=q), axis=-1)
         return (v, *factors, np.array([np.sum(f0), np.vdot(f0, f0)]))
 

@@ -14,8 +14,8 @@ ensemble is drawn at the largest P of a sweep, and each smaller P reads
 the leading P - 1 normals of every path (the coupling of multilevel Monte
 Carlo), so every P is an exact free-ring ensemble and all share common
 random numbers.  A block rescales them, one P after another, into its
-``"rung"`` scratch (``paths.ModeBlock.scratch``), which a pooled block's
-worker thread reuses for the call.
+``"rung"`` scratch (``paths.ModeBlock.scratch``), which each thread
+reuses for the call.
 """
 from __future__ import annotations
 

@@ -43,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from .params import ThermoParams
-from .paths import _basis_rows, _irfft_paths, fourier_basis_eigenvalues, mode_amplitudes
+from .paths import ModeBlock, _basis_rows, fourier_basis_eigenvalues, mode_amplitudes
 
 
 class SingularSurfaceError(ValueError):
@@ -171,7 +171,7 @@ class SurfaceFactors:
     @functools.cached_property
     def t_vec(self) -> np.ndarray:
         lead, P = self._amps.shape[:-1], self._amps.shape[-1] + 1
-        T = _irfft_paths(self._amps.reshape(-1, P - 1) * self._mu, 0.0)
+        T = ModeBlock(self._amps.reshape(-1, P - 1) * self._mu).paths(0.0)
         T *= self._t1.reshape(-1, 1)
         T += self._t0.reshape(-1, 1)
         return T.reshape(lead + (P,))
@@ -300,7 +300,7 @@ def g_p(t_vec, q, params: ThermoParams):
     (m P / 2 beta hbar) sum_k (q_{k+1} - q_k) T_k that the same pass
     returns as ``SurfaceFactors.g_p``.  The two are identical by cyclic
     re-summation: the link form is a closed form in the mode amplitudes,
-    while this one rolls the irfft-built T and sums over the beads.
+    while this one rolls the T built from them and sums over the beads.
     Subtracting the centroid qbar changes nothing exactly, since
     sum_k (T_{k-1} - T_k) = 0, but keeps the rounding at the scale of the
     fluctuations rather than of |q|.
@@ -382,14 +382,22 @@ def equivalence_diagnostics(family, P_list, params: ThermoParams) -> Diagnostics
 
 
 def surface_from_config(cfg: dict) -> Surface:
-    """The surface of a config's ``surface`` mapping; ValueError names a missing key."""
+    """The surface of a config's ``surface`` mapping; ValueError names a
+    missing key, or a key the kind does not read."""
     kind = cfg.get("kind", "centroid")
-    if kind == "centroid":
-        return CentroidSurface()
-    families = {"fourier_norm": (FourierNormSurface, "mode"), "quad_diff": (QuadDiffSurface, "offset")}
+    families = {
+        "centroid": (CentroidSurface, None),
+        "fourier_norm": (FourierNormSurface, "mode"),
+        "quad_diff": (QuadDiffSurface, "offset"),
+    }
     if kind not in families:
         raise ValueError(f"unknown surface kind: {kind!r}")
     cls, key = families[kind]
+    extra = sorted(cfg.keys() - ({"kind", key, "phi"} if key else {"kind"}))
+    if extra:
+        raise ValueError(f"surface kind {kind!r} does not read the key {extra[0]!r}")
+    if key is None:
+        return cls()
     if key not in cfg:
         raise ValueError(f"surface kind {kind!r} needs the key {key!r}")
     return cls(cfg[key], phi=cfg.get("phi", np.pi / 4))

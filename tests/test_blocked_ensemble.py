@@ -1,8 +1,9 @@
 """The blocked, pooled evaluation of large free ring-polymer ensembles:
 the irfft transform and its rfft inverse, which ensembles stay in the
-calling thread, the per-block random streams, independence of the worker
-count, agreement with dense paths on the same normals, the per-worker,
-per-call scratch buffers, and errors raised inside a worker."""
+calling thread, the path kernel each bead count takes, the per-block
+random streams, independence of the worker count, agreement with dense
+paths on the same normals, the per-thread, per-call scratch buffers, and
+errors raised inside a worker."""
 import dataclasses
 import sys
 import threading
@@ -47,7 +48,12 @@ def test_irfft_block_matches_mode_basis(P, rows, beta, centroid, seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal((rows, P - 1)) * free_ring_mode_std(params)
     c = rng.standard_normal((rows, 1)) if centroid == "per-sample" else centroid
-    got = paths._irfft_paths(amps, c)
+    # the spectrum is written whole, whatever it held before
+    spec = np.full((rows, P // 2 + 1), np.nan, dtype=complex)
+    out = np.empty((rows, P))
+    q = paths._irfft_paths(amps, spec, out)
+    assert q is out
+    got = q + c
     want = amps @ fourier_mode_basis(P).T + c
     assert got.shape == (rows, P)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -57,6 +63,18 @@ def test_irfft_block_matches_mode_basis(P, rows, beta, centroid, seed):
     assert np.max(np.abs(c_back - np.ravel(c))) <= 1e-13 * np.max(np.abs(want))
 
 
+def _dense_kernel(amps, c):
+    """The dense mode-basis paths of amps about c (one value per row)."""
+    return amps @ fourier_mode_basis(amps.shape[1] + 1).T + np.reshape(c, (-1, 1))
+
+
+def _irfft_kernel(amps, c):
+    """The irfft paths of amps about c (one value per row)."""
+    rows, P = amps.shape[0], amps.shape[1] + 1
+    q = paths._irfft_paths(amps, np.empty((rows, P // 2 + 1), dtype=complex), np.empty((rows, P)))
+    return q + np.reshape(c, (-1, 1))
+
+
 def _forbid_pool(monkeypatch):
     def no_pool():
         raise AssertionError("an inline ensemble reached the pool")
@@ -64,17 +82,20 @@ def _forbid_pool(monkeypatch):
     monkeypatch.setattr(paths, "_pool", no_pool)
 
 
-def _assert_inline_and_bit_identical(P, n):
+def _assert_inline_and_bit_identical(P, n, kernel):
+    """One block in the calling thread, drawn from the caller's generator,
+    whose paths are kernel's, bit for bit."""
     params = ThermoParams(bead_count=P)
     c = np.linspace(-1.0, 1.0, n)
+    caller = threading.get_ident()
 
     def per_path(block):
-        assert not block.pooled and block.amps.shape == (n, P - 1)
+        assert threading.get_ident() == caller and block.amps.shape == (n, P - 1)
         q = block.paths(c)
         return q.sum(axis=-1), q[:, 0], block.amps[:, 0]
 
     got = map_free_ring_paths(params, n, np.random.default_rng(3), per_path)
-    q = free_ring_amplitudes(params, n, np.random.default_rng(3)) @ fourier_mode_basis(P).T + c[:, None]
+    q = kernel(free_ring_amplitudes(params, n, np.random.default_rng(3)), c)
     assert np.array_equal(got[0], q.sum(axis=-1))
     assert np.array_equal(got[1], q[:, 0])
     assert np.array_equal(got[2], free_ring_amplitudes(params, n, np.random.default_rng(3))[:, 0])
@@ -82,20 +103,47 @@ def _assert_inline_and_bit_identical(P, n):
 
 def test_small_ensemble_runs_inline_and_bit_identical(monkeypatch):
     """An ensemble of POOL_MIN_BEADS or more beads that fits in one block
-    is one draw in the calling thread."""
+    is one draw in the calling thread, its paths built by irfft."""
     _forbid_pool(monkeypatch)
     P = paths.POOL_MIN_BEADS
-    _assert_inline_and_bit_identical(P, paths.BLOCK_ELEMS // P)
+    _assert_inline_and_bit_identical(P, paths.BLOCK_ELEMS // P, _irfft_kernel)
 
 
 def test_few_bead_ensemble_stays_inline_up_to_the_limit(monkeypatch):
     """Below POOL_MIN_BEADS an ensemble of up to INLINE_ELEMS elements is
     one draw in the calling thread, here P = 8 at the limit, eight blocks'
-    worth, bit-identical to free_ring_amplitudes."""
+    worth, bit-identical to free_ring_amplitudes and its dense paths."""
     _forbid_pool(monkeypatch)
     n = paths.INLINE_ELEMS // 8
     assert 8 < paths.POOL_MIN_BEADS and n > paths.BLOCK_ELEMS // 8
-    _assert_inline_and_bit_identical(8, n)
+    _assert_inline_and_bit_identical(8, n, _dense_kernel)
+
+
+@pytest.mark.parametrize(
+    "P, n, kernel",
+    [(8, paths.INLINE_ELEMS // 8 + 1, _dense_kernel), (1024, paths.BLOCK_ELEMS // 1024, _irfft_kernel)],
+    ids=["8-beads-pooled-dense", "1024-beads-inline-irfft"],
+)
+def test_path_kernel_follows_the_bead_count(P, n, kernel):
+    """A block builds its paths with the dense mode-basis matmul below
+    POOL_MIN_BEADS and with irfft from there on, wherever it runs: a
+    pooled ensemble of 8 beads gives the dense paths of its amplitudes and
+    one in-thread block of 1024 beads the irfft ones, bit for bit (block by
+    block, since a matmul's rounding may depend on its row count)."""
+    caller = threading.get_ident()
+    c = np.linspace(-1.0, 1.0, n)
+    threads = set()
+
+    def per_path(block):
+        threads.add(threading.get_ident())
+        rows = slice(block.start, block.start + len(block.amps))
+        return (*block.paths(c[rows]).T, *block.amps.T)
+
+    columns = map_free_ring_paths(ThermoParams(bead_count=P), n, np.random.default_rng(7), per_path)
+    assert (caller in threads) == (P >= paths.POOL_MIN_BEADS)
+    amps, rows = np.stack(columns[P:], axis=1), paths.BLOCK_ELEMS // P
+    want = np.concatenate([kernel(amps[lo : lo + rows], c[lo : lo + rows]) for lo in range(0, n, rows)])
+    assert np.array_equal(np.stack(columns[:P], axis=1), want)
 
 
 @pytest.mark.parametrize(
@@ -117,9 +165,10 @@ def test_multi_block_ensemble_reaches_the_pool(monkeypatch, P, n):
 
     pool = CountingPool(max_workers=2)
     monkeypatch.setattr(paths, "_pool", lambda: pool)
+    caller = threading.get_ident()
 
     def per_path(block):
-        assert block.pooled
+        assert threading.get_ident() != caller
         return (np.full(len(block.amps), len(block.amps)),)
 
     try:
@@ -143,9 +192,10 @@ def test_blocked_draw_keeps_the_stream(centroid):
     assert n_blocks > 1
     c = 0.4 if centroid == "scalar" else np.linspace(-2.0, 2.0, n)
     rng = np.random.default_rng(9)
+    caller = threading.get_ident()
 
     def per_path(block):
-        assert block.pooled
+        assert threading.get_ident() != caller
         rows = slice(block.start, block.start + len(block.amps))
         return (*block.paths(c if np.ndim(c) == 0 else c[rows]).T, *block.amps.T)
 
@@ -196,11 +246,9 @@ def test_pooled_matches_dense_draw(monkeypatch, spec):
     basis = fourier_mode_basis(POOLED["P"])
     dense_blocks = []
 
-    def dense_paths(amps, centroid, spec, out):
+    def dense_paths(amps, spec, out):
         dense_blocks.append(len(amps))
-        np.matmul(amps, basis.T, out=out)
-        out += centroid
-        return out
+        return np.matmul(amps, basis.T, out=out)
 
     def estimate():
         return rate_estimates(Eckart(), spec, 0.0, params, n_samples=POOLED["n"], seed=6, n_batches=25)
@@ -217,16 +265,15 @@ def test_pooled_matches_dense_draw(monkeypatch, spec):
 
 
 def _two_worker_scratch(monkeypatch):
-    """A fresh two-worker pool in place of the default one, and the pooled
-    requests of ModeBlock.scratch as (thread, name, buffer) triples, which
-    hold each buffer alive."""
+    """A fresh two-worker pool in place of the default one, and every
+    request of ModeBlock.scratch as a (thread, name, buffer) triple, which
+    holds the buffer alive."""
     made = []
     scratch = paths.ModeBlock.scratch
 
     def spy(block, name, shape, dtype=float):
         out = scratch(block, name, shape, dtype)
-        if block.pooled:
-            made.append((threading.get_ident(), name, out.base))
+        made.append((threading.get_ident(), name, out.base))
         return out
 
     monkeypatch.setattr(paths.ModeBlock, "scratch", spy)

@@ -439,6 +439,26 @@ def test_surface_without_its_key_exits_2(tmp_path, capsys, command, surface, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, block, kind, key",
+    [
+        ("surface-check", "surface: {kind: centroid, phi: 0.5}", "centroid", "phi"),
+        ("surface-check", "surface: {kind: fourier_norm, mode: 1, offset: 3}", "fourier_norm", "offset"),
+        ("rate", "potential: {kind: free, omega: 3}", "free", "omega"),
+    ],
+    ids=["centroid-phi", "fourier-norm-offset", "free-omega"],
+)
+def test_key_the_kind_does_not_read_exits_2(tmp_path, capsys, command, block, kind, key):
+    """A surface or potential key that its kind does not read is one error
+    line naming the key and the kind, exit 2, and no artifact."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"command: {command}\nthermo: {{bead_count: 8}}\n{block}\nn_samples: 1000\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert_one_error_line(capsys, f"kind {kind!r} does not read the key {key!r}")
+    assert not out.exists()
+
+
 def test_rate_rejected_oracle_input_draws_no_path(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(rates, "rate_estimates", lambda *a, **k: calls.append(a))

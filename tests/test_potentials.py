@@ -49,6 +49,13 @@ def test_eckart_barrier_shape():
     assert pot.value(10.0) < 1e-6
 
 
+def test_eckart_tails_are_zero_without_warnings():
+    """cosh(x / a) or its square overflows far out on the tails; V is 0
+    there, with no overflow warning (warnings are errors in the tests)."""
+    got = Eckart().value(np.array([0.0, 400.0, -1e6]))
+    assert np.array_equal(got, [1.0, 0.0, 0.0])
+
+
 def test_double_well_minima():
     pot = DoubleWell(v0=1.0, q0=1.5)
     assert pot.value(1.5) == pytest.approx(0.0, abs=1e-12)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -126,10 +128,12 @@ def test_centroid_draw_puts_f_at_d_plus_s_z(monkeypatch, spec, P, n):
     from the real-space paths through surface_factors."""
     blocks = []
     inner = paths.ModeBlock.paths
+    caller = threading.get_ident()
 
     def spy(block, centroid):
         q = inner(block, centroid)
-        blocks.append((block.start, block.pooled, q.copy()))
+        # pooled: built in a worker thread
+        blocks.append((block.start, threading.get_ident() != caller, q.copy()))
         return q
 
     monkeypatch.setattr(paths.ModeBlock, "paths", spy)

@@ -296,8 +296,8 @@ def test_quaddiff_orders_one_gradient_per_path(mode_rows, monkeypatch):
         raise AssertionError("quaddiff_orders built a real-space path")
 
     monkeypatch.setattr(paths.ModeBlock, "paths", forbidden)
+    monkeypatch.setattr(paths, "_irfft_paths", forbidden)
     for module in (paths, surfaces):
-        monkeypatch.setattr(module, "_irfft_paths", forbidden)
         monkeypatch.setattr(module, "mode_amplitudes", forbidden)
     quaddiff_orders("half", P_list=(16, 32, 64), n_paths=500, seed=3)
     assert mode_rows == [500, 500, 500]
