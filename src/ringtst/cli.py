@@ -5,7 +5,10 @@ over 1000 random paths: B_P and f statistics, and its link-form g_P
 against the cyclic form ``surfaces.g_p`` rolls from the same pass's T,
 relative to max(|g_P|, median |g_P|)), ``scaling`` (P sweeps on matching
 sinusoidal paths: the closed-form T-difference and its envelope, then
-|g_P| and |sum-difference| from one ``surface_factors`` pass per P),
+|g_P|, |sum-difference| and the T-gap max_k |T_{k+1} - T_k| from
+``surfaces.equivalence_diagnostics``, one ``surface_factors`` pass per P,
+with its verdicts on the two equivalence conditions in
+``scaling_summary.json``),
 ``figure1`` (the log-log dataset and fitted slopes, from closed forms
 alone), ``rate`` and ``ratio-sweep`` (the Monte-Carlo rate estimators).
 Each command evaluates each path's surface once.
@@ -274,10 +277,8 @@ def cmd_scaling(cfg, out: Path, cfg_hash: str) -> int:
     alpha = cfg["alpha"]
     if alpha == 0.0 and any(2 * sched.mode(P) == P for P in P_list):
         alpha = np.pi / 4  # the half-mode path vanishes identically at alpha = 0
-    series = [
-        *tdiff_series(sched, k=cfg["k_index"], alpha=alpha, P_list=P_list),
-        *matching_path_series(sched, P_list, params, alpha=alpha),
-    ]
+    *matched, table = matching_path_series(sched, P_list, params, alpha=alpha)
+    series = [*tdiff_series(sched, k=cfg["k_index"], alpha=alpha, P_list=P_list), *matched]
     rows = [
         {"quantity": s.quantity_name, "P": P, "value": v}
         for s in series
@@ -295,7 +296,8 @@ def cmd_scaling(cfg, out: Path, cfg_hash: str) -> int:
                     "residual": s.fit_residual,
                 }
                 for s in series
-            ]
+            ],
+            "verdicts": {"t_gap": table.t_gap_verdict, "g_p": table.g_verdict, "overall": table.overall_verdict},
         },
         cfg_hash,
     )

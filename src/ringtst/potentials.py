@@ -21,14 +21,16 @@ class Potential:
     returns it; otherwise into a fresh array, or a numpy scalar for a
     scalar x.  ``_into(x, out)`` is one sequence of in-place ufuncs, so
     the values are the same bits wherever they are written, and no
-    temporary of x's size is made.
+    temporary of x's size is made.  Where a ufunc overflows far out (x^2,
+    Eckart's cosh), V = inf (0 on Eckart's tails) is right, with no warning.
     """
 
     def value(self, x, out=None):
         x = np.asarray(x, dtype=float)
-        if out is not None:
-            return self._into(x, out)
-        return self._into(x, np.empty_like(x))[()]
+        with np.errstate(over="ignore"):
+            if out is not None:
+                return self._into(x, out)
+            return self._into(x, np.empty_like(x))[()]
 
     def _into(self, x, out):
         raise NotImplementedError
@@ -62,11 +64,10 @@ class Eckart(Potential):
 
     def _into(self, x, out):
         # on the far tails cosh or its square overflows to inf, and V to 0
-        with np.errstate(over="ignore"):
-            np.divide(x, self.a, out=out)
-            np.cosh(out, out=out)
-            np.square(out, out=out)
-            return np.divide(self.v0, out, out=out)
+        np.divide(x, self.a, out=out)
+        np.cosh(out, out=out)
+        np.square(out, out=out)
+        return np.divide(self.v0, out, out=out)
 
 
 @dataclass(frozen=True)

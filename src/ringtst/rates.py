@@ -51,7 +51,6 @@ from .surfaces import (
     FourierNormSurface,
     Surface,
     SurfaceFactors,
-    _check_order,
     _mode_weights,
     mode_factors,
 )
@@ -189,18 +188,18 @@ def rate_estimates(
     fewer paths than batches, which would leave batches empty.
     """
     P = params.bead_count
-    _check_order(spec, P)
+    cos_phi, mean_f0_sq = np.cos(spec.phi), 0.0
+    if not isinstance(spec, CentroidSurface):
+        # E[N^2] = sum_j w_j sigma_j^2 over the free-ring amplitudes; the
+        # lookup rejects a surface the bead count does not admit
+        cols, W, _ = _mode_weights(spec, P)
+        mean_n_sq = W[:, 0] @ free_ring_mode_std(params)[cols] ** 2
+        mean_f0_sq = (np.sin(spec.phi) / spec.norm_factor(P)) ** 2 * mean_n_sq
     if n_samples < n_batches:
         raise ValueError(f"n_samples = {n_samples} is below n_batches = {n_batches}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_samples)
     sigma_c = params.hbar * np.sqrt(params.beta / params.mass)
-    cos_phi, mean_f0_sq = np.cos(spec.phi), 0.0
-    if not isinstance(spec, CentroidSurface):
-        # E[N^2] = sum_j w_j sigma_j^2 over the free-ring amplitudes
-        cols, W, _ = _mode_weights(spec, P)
-        mean_n_sq = W[:, 0] @ free_ring_mode_std(params)[cols] ** 2
-        mean_f0_sq = (np.sin(spec.phi) / spec.norm_factor(P)) ** 2 * mean_n_sq
     s = WINDOW_WIDTHS[0] * np.sqrt(cos_phi**2 * sigma_c**2 + mean_f0_sq)
 
     def per_path(block):
@@ -339,7 +338,6 @@ def free_ring_mean_f(spec: FourierNormSurface, params: ThermoParams) -> float:
     half-normal of mean sigma sqrt(2 / pi).
     """
     P = params.bead_count
-    _check_order(spec, P)
     cols, W, _ = _mode_weights(spec, P)
     sigma = free_ring_mode_std(params)[cols][0]
     shape = np.sqrt(np.pi / 2.0) if W.shape[0] == 2 else np.sqrt(2.0 / np.pi)

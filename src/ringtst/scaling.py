@@ -3,19 +3,21 @@
 Deterministic series follow single-mode sinusoidal paths against a
 Fourier-norm surface with a matching mode: ``tdiff_series`` gives the
 T-difference and its envelope in closed form, with no surface pass, and
-``matching_path_series`` reads |g_P| and |sum-difference| from one
-``surface_factors`` pass per P.  Stochastic series average over
-thermal free-particle paths against the quadratic-difference surface,
-reduced block by block through ``paths.map_free_ring_paths`` (on the
-worker pool, each block drawing its own normals, when the ensemble spans
-more than one block at 16 beads or more, or exceeds 8 MB of paths below)
-from the drawn Fourier-mode amplitudes, with no real-space path.  One
-ensemble is drawn at the largest P of a sweep, and each smaller P reads
-the leading P - 1 normals of every path (the coupling of multilevel Monte
-Carlo), so every P is an exact free-ring ensemble and all share common
-random numbers.  A block rescales them, one P after another, into its
-``"rung"`` scratch (``paths.ModeBlock.scratch``), which each thread
-reuses for the call.
+``matching_path_series`` reads |g_P|, |sum-difference| and the T-gap
+max_k |T_{k+1} - T_k|, with the equivalence verdicts, from
+``surfaces.equivalence_diagnostics``, one ``surface_factors`` pass per P.
+
+Stochastic series average over thermal free-particle paths against the
+quadratic-difference surface, reduced block by block through
+``paths.map_free_ring_paths`` (on the worker pool, each block drawing
+its own normals, when the ensemble spans more than one block at 16 beads
+or more, or exceeds 8 MB of paths below) from the drawn Fourier-mode
+amplitudes, with no real-space path.  One ensemble is drawn at the
+largest P of a sweep, and each smaller P reads the leading P - 1 normals
+of every path (the coupling of multilevel Monte Carlo), so every P is an
+exact free-ring ensemble and all share common random numbers.  A block
+rescales them, one P after another, into its ``"rung"`` scratch
+(``paths.ModeBlock.scratch``), which each thread reuses for the call.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .closed_forms import tdiff_figure, tdiff_figure_amplitude
 from .fitting import fit_power_law
 from .params import ThermoParams
 from .paths import SinusoidalPathSpec, free_ring_mode_std, map_free_ring_paths, sinusoidal_path
-from .surfaces import FourierNormSurface, QuadDiffSurface, mode_factors, surface_factors
+from .surfaces import DiagnosticsTable, FourierNormSurface, QuadDiffSurface, equivalence_diagnostics, mode_factors
 
 DEFAULT_P_SWEEP = tuple(2**k for k in range(4, 13))  # 16 .. 4096
 STOCHASTIC_P_SWEEP = tuple(2**k for k in range(4, 10))  # 16 .. 512
@@ -140,22 +142,24 @@ def matching_path_series(
     P_list,
     params: ThermoParams,
     alpha: float = 0.0,
-) -> tuple[ScalingSeries, ScalingSeries]:
-    """(|g_P|, |sum-difference|) on matching unit-amplitude sinusoidal
-    paths, generic evaluation (phi = MATCHING_PHI): at each P the path of
-    mode n(P) and phase alpha against the Fourier-norm surface of the same
-    mode, both read from one ``surface_factors`` pass."""
-    gp, sumdiff = [], []
-    for P in P_list:
+) -> tuple[ScalingSeries, ScalingSeries, ScalingSeries, DiagnosticsTable]:
+    """(|g_P|, |sum-difference|, T-gap) series on matching unit-amplitude
+    sinusoidal paths, generic evaluation (phi = MATCHING_PHI), and the
+    ``equivalence_diagnostics`` table they are read from, which holds the
+    verdicts: at each P the path of mode n(P) and phase alpha against the
+    Fourier-norm surface of the same mode, in one ``surface_factors`` pass."""
+
+    def family(P):
         n = schedule.mode(P)
-        spec = FourierNormSurface(mode=n, phi=MATCHING_PHI, phi_floor=0.0)
-        q = sinusoidal_path(SinusoidalPathSpec(q0=0.0, amplitude=1.0, mode=n, phase=alpha), P)
-        sf = surface_factors(spec, q, params.with_beads(P))
-        gp.append(abs(float(sf.g_p)))
-        sumdiff.append(abs(float(sf.sum_difference)))
+        path = SinusoidalPathSpec(q0=0.0, amplitude=1.0, mode=n, phase=alpha)
+        return FourierNormSurface(mode=n, phi=MATCHING_PHI, phi_floor=0.0), sinusoidal_path(path, P)
+
+    table = equivalence_diagnostics(family, P_list, params)
     return (
-        ScalingSeries.from_points(f"gp[{schedule.label}]", P_list, gp),
-        ScalingSeries.from_points(f"sumdiff[{schedule.label}]", P_list, sumdiff),
+        ScalingSeries.from_points(f"gp[{schedule.label}]", P_list, table.g_p),
+        ScalingSeries.from_points(f"sumdiff[{schedule.label}]", P_list, table.sum_difference),
+        ScalingSeries.from_points(f"tgap[{schedule.label}]", P_list, table.t_gap),
+        table,
     )
 
 

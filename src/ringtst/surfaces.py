@@ -29,10 +29,14 @@ cross-check of the closed-form link sum; it makes no surface pass of its
 own, and no ensemble calls it.  The real-space reference of every
 quantity lives in the tests.
 
-A Fourier-norm mode n lies in 1 .. P - 1 (``_check_order``): mode P, like
-mode 0, has L_n = P |c|, a norm that depends on the centroid.  The rfft
-is taken of q - qbar, so the rounding of the amplitudes follows the
-fluctuations of the path rather than |q|.
+``equivalence_diagnostics`` is the one bead-count sweep of a (surface,
+path) family: |g_P|, |sum-difference| and the T-gap max_k |T_{k+1} - T_k|
+from one ``surface_factors`` pass per P, and the verdicts read from them.
+
+A Fourier-norm mode n, like a quad-diff offset, lies in 1 .. P - 1
+(``_mode_weights``): mode P, like mode 0, has L_n = P |c|, a norm that
+depends on the centroid.  The rfft is taken of q - qbar, so the rounding
+of the amplitudes follows the fluctuations of the path rather than |q|.
 """
 from __future__ import annotations
 
@@ -42,6 +46,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .fitting import fit_power_law
 from .params import ThermoParams
 from .paths import ModeBlock, _basis_rows, fourier_basis_eigenvalues, mode_amplitudes
 
@@ -114,16 +119,6 @@ Surface = CentroidSurface | FourierNormSurface | QuadDiffSurface
 _NORM_FLOOR = 1e-12
 
 
-def _check_order(spec: Surface, P: int) -> None:
-    if isinstance(spec, FourierNormSurface) and spec.mode >= P:
-        raise ValueError(
-            f"Fourier-norm mode {spec.mode} at P = {P}: the mode must be below the bead count "
-            "(the norm of mode P, P |c|, depends on the centroid)"
-        )
-    if isinstance(spec, QuadDiffSurface) and spec.offset > P - 1:
-        raise ValueError("surface offset exceeds P - 1")
-
-
 def _raise_if_singular(norm, amps, centroid) -> None:
     """Raise SingularSurfaceError where the norm term is at most _NORM_FLOOR
     times max(1, |q|), with |q|^2 = sum amps^2 + P c^2 (the basis is
@@ -189,9 +184,17 @@ def _mode_weights(spec: FourierNormSurface | QuadDiffSurface, P: int) -> tuple[s
     slice so that a[:, cols] is a view: quad-diff offset n weights every
     column by lambda_n; Fourier-norm mode l = min(n, P - n) its (cos, sin)
     columns by P / 2, or the Nyquist column by P.  W = [w, w^2, w^2 lambda_1,
-    -lambda_1 w / 2] and mu = w on all P - 1 columns are cached, read-only."""
+    -lambda_1 w / 2] and mu = w on all P - 1 columns are cached, read-only.
+    A mode or offset outside 1 .. P - 1 raises ValueError."""
     if isinstance(spec, QuadDiffSurface):
+        if spec.offset > P - 1:
+            raise ValueError("surface offset exceeds P - 1")
         cols, w = slice(None), fourier_basis_eigenvalues(P, spec.offset)
+    elif spec.mode >= P:
+        raise ValueError(
+            f"Fourier-norm mode {spec.mode} at P = {P}: the mode must be below the bead count "
+            "(the norm of mode P, P |c|, depends on the centroid)"
+        )
     else:
         l = min(spec.mode, P - spec.mode)
         if 2 * l == P:
@@ -240,7 +243,6 @@ def mode_factors(spec: Surface, amps, centroid, params: ThermoParams | None = No
     """
     amps = np.asarray(amps, dtype=float)
     lead, P = amps.shape[:-1], amps.shape[-1] + 1
-    _check_order(spec, P)
     a = amps.reshape(-1, P - 1)
     c = np.broadcast_to(np.asarray(centroid, dtype=float), lead).reshape(-1)
     if isinstance(spec, CentroidSurface):
@@ -312,31 +314,33 @@ def g_p(t_vec, q, params: ThermoParams):
 
 
 @dataclass(frozen=True)
-class DiagnosticsRow:
-    bead_count: int
-    t_gap_scaled: float
-    g_scaled: float
-
-
-@dataclass(frozen=True)
 class DiagnosticsTable:
-    """Equivalence-condition table: the two theories coincide in the large-P
-    limit only if both scaled columns vanish."""
+    """Equivalence-condition table of a (surface, path) family, one column
+    entry per bead count: |g_P|, |sum-difference| and the T-gap
+    max_k |T_{k+1} - T_k|.  The two theories coincide in the large-P limit
+    only if both t_gap sqrt(P) and |g_P| / sqrt(P) vanish; the verdicts
+    classify the fitted trend of each, and the overall one is the worse."""
 
-    rows: list[DiagnosticsRow]
-    t_gap_verdict: str
-    g_verdict: str
+    bead_counts: tuple[int, ...]
+    g_p: np.ndarray
+    sum_difference: np.ndarray
+    t_gap: np.ndarray
+
+    @property
+    def t_gap_verdict(self) -> str:
+        return _trend_verdict(self.bead_counts, self.t_gap * np.sqrt(self.bead_counts))
+
+    @property
+    def g_verdict(self) -> str:
+        return _trend_verdict(self.bead_counts, self.g_p / np.sqrt(self.bead_counts))
 
     @property
     def overall_verdict(self) -> str:
-        order = {"vanishing": 0, "finite": 1, "diverging": 2}
-        worst = max((self.t_gap_verdict, self.g_verdict), key=order.__getitem__)
-        return worst
+        order = ("vanishing", "finite", "diverging")
+        return max(self.t_gap_verdict, self.g_verdict, key=order.index)
 
 
 def _trend_verdict(P_list, values) -> str:
-    from .fitting import fit_power_law
-
     vals = np.asarray(values, dtype=float)
     if np.all(np.abs(vals) < 1e-14):
         return "vanishing"
@@ -349,36 +353,21 @@ def _trend_verdict(P_list, values) -> str:
 
 
 def equivalence_diagnostics(family, P_list, params: ThermoParams) -> DiagnosticsTable:
-    """Evaluate max_k |T_{k+1} - T_k| sqrt(P) and |g_P| / sqrt(P) over a
-    family of (surface, path) pairs indexed by bead count.
+    """The ``DiagnosticsTable`` of a family of (surface, path) pairs indexed
+    by bead count, from one ``surface_factors`` pass per P.
 
     family(P) must return a (surface, path) pair with a length-P path.
-    Both columns must tend to zero for the harmonic-analysis rate to reduce
-    to the ring-polymer one; the fitted trend of each column is classified
-    as vanishing, finite, or diverging.
     """
     rows = []
     for P in P_list:
         spec, q = family(P)
-        q = np.asarray(q, dtype=float)
-        if q.shape != (P,):
+        if np.shape(q) != (P,):
             raise ValueError("family returned a path of wrong length")
         sf = surface_factors(spec, q, params.with_beads(P))
-        gap = float(np.max(np.abs(np.roll(sf.t_vec, -1) - sf.t_vec)))
-        gp = float(sf.g_p)
-        rows.append(
-            DiagnosticsRow(
-                bead_count=P,
-                t_gap_scaled=gap * np.sqrt(P),
-                g_scaled=abs(gp) / np.sqrt(P),
-            )
-        )
-    Ps = [r.bead_count for r in rows]
-    return DiagnosticsTable(
-        rows=rows,
-        t_gap_verdict=_trend_verdict(Ps, [r.t_gap_scaled for r in rows]),
-        g_verdict=_trend_verdict(Ps, [r.g_scaled for r in rows]),
-    )
+        gap = np.max(np.abs(np.roll(sf.t_vec, -1) - sf.t_vec))
+        rows.append((abs(float(sf.g_p)), abs(float(sf.sum_difference)), float(gap)))
+    g, sum_diff, t_gap = np.array(rows).reshape(-1, 3).T
+    return DiagnosticsTable(tuple(int(P) for P in P_list), g, sum_diff, t_gap)
 
 
 def surface_from_config(cfg: dict) -> Surface:

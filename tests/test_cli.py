@@ -219,7 +219,11 @@ def _scaling_series_names(tmp_path, schedule):
 def test_scaling_command(tmp_path):
     names = _scaling_series_names(tmp_path, "{rule: constant, value: 1}")
     assert names == [
-        "tdiff[constant(1),figure]", "tdiff[constant(1),amplitude]", "gp[constant(1)]", "sumdiff[constant(1)]"
+        "tdiff[constant(1),figure]",
+        "tdiff[constant(1),amplitude]",
+        "gp[constant(1)]",
+        "sumdiff[constant(1)]",
+        "tgap[constant(1)]",
     ]
 
 
@@ -227,8 +231,30 @@ def test_scaling_half_mode_schedule(tmp_path):
     # the half-mode path vanishes at alpha = 0, so every series moves to pi/4
     names = _scaling_series_names(tmp_path, "{rule: fracP, value: 0.5}")
     assert names == [
-        "tdiff[fracP(0.5),figure]", "tdiff[fracP(0.5),amplitude]", "gp[fracP(0.5)]", "sumdiff[fracP(0.5)]"
+        "tdiff[fracP(0.5),figure]",
+        "tdiff[fracP(0.5),amplitude]",
+        "gp[fracP(0.5)]",
+        "sumdiff[fracP(0.5)]",
+        "tgap[fracP(0.5)]",
     ]
+
+
+@pytest.mark.parametrize(
+    "schedule, verdicts",
+    [
+        ("{rule: constant, value: 1}", {"t_gap": "vanishing", "g_p": "vanishing", "overall": "vanishing"}),
+        ("{rule: sqrtP}", {"t_gap": "vanishing", "g_p": "finite", "overall": "finite"}),
+        ("{rule: fracP, value: 0.25}", {"t_gap": "finite", "g_p": "diverging", "overall": "diverging"}),
+    ],
+    ids=["constant(1)", "sqrtP", "fracP(0.25)"],
+)
+def test_scaling_writes_equivalence_verdicts(tmp_path, schedule, verdicts):
+    """The paper's verdicts: the two theories coincide for low-frequency
+    surface modes, and not for n = O(sqrt P) or O(P)."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"command: scaling\nschedule: {schedule}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "scaling_summary.json").read_text())["verdicts"] == verdicts
 
 
 def _without_config_hash(path):

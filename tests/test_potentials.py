@@ -32,12 +32,11 @@ def test_value_finite(pot):
 )
 def test_value_in_place_is_bit_identical(pot, x):
     """value(x, out=x) and value(x, out=<new array>) give the bits of value(x)."""
-    with np.errstate(over="ignore"):
-        want = pot.value(x)
-        fresh = np.empty_like(x)
-        got_fresh = pot.value(x, out=fresh)
-        y = x.copy()
-        got_inplace = pot.value(y, out=y)
+    want = pot.value(x)
+    fresh = np.empty_like(x)
+    got_fresh = pot.value(x, out=fresh)
+    y = x.copy()
+    got_inplace = pot.value(y, out=y)
     assert got_fresh is fresh and got_inplace is y
     assert got_fresh.tobytes() == want.tobytes()
     assert got_inplace.tobytes() == want.tobytes()
@@ -54,6 +53,13 @@ def test_eckart_tails_are_zero_without_warnings():
     there, with no overflow warning (warnings are errors in the tests)."""
     got = Eckart().value(np.array([0.0, 400.0, -1e6]))
     assert np.array_equal(got, [1.0, 0.0, 0.0])
+
+
+def test_harmonic_and_double_well_overflow_to_inf_without_warnings():
+    """x^2 overflows far out; V = inf there (a path weight of 0), with no
+    overflow warning (warnings are errors in the tests)."""
+    assert np.array_equal(Harmonic().value([0.0, 1e200]), [0.0, np.inf])
+    assert np.array_equal(DoubleWell().value([1e100]), [np.inf])
 
 
 def test_double_well_minima():

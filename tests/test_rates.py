@@ -289,6 +289,27 @@ def test_grid_oracle_rejects_centroid_dependent_mode(mode):
         grid_oracle_rate(Harmonic(omega=1.0), FourierNormSurface(mode=mode, phi=0.5), 0.0, params)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (QuadDiffSurface(offset=8, phi=0.5), "surface offset exceeds P - 1"),
+        (FourierNormSurface(mode=8, phi=0.5), "Fourier-norm mode 8 at P = 8.*depends on the centroid"),
+    ],
+    ids=["quaddiff-offset-P", "fourier-mode-P"],
+)
+def test_rate_estimates_rejects_order_before_drawing(monkeypatch, spec, message):
+    """A mode or offset the bead count does not admit is rejected before
+    the generator is made or any path is drawn."""
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(rates, "map_free_ring_paths", no_draw)
+    with pytest.raises(ValueError, match=message):
+        rate_estimates(Harmonic(omega=1.0), spec, 0.0, ThermoParams(bead_count=8), n_samples=1000)
+
+
 def test_rate_estimates_rejects_fewer_samples_than_batches(monkeypatch):
     # 30 paths in 50 batches would leave the batches empty and the error bar NaN
     def no_draw(*args, **kwargs):

@@ -103,18 +103,33 @@ def test_gp_exponents_sinusoidal():
         (ModeSchedule.frac_p(0.25), 1.5, 0.0),
     ]
     for sched, want, alpha in cases:
-        s, _ = matching_path_series(sched, DEFAULT_P_SWEEP, PARAMS, alpha=alpha)
+        s, *_ = matching_path_series(sched, DEFAULT_P_SWEEP, PARAMS, alpha=alpha)
         assert abs(s.fitted_exponent - want) < 0.05
 
 
 def test_gp_half_schedule_spot_value():
-    s, _ = matching_path_series(ModeSchedule.frac_p(0.5), [16, 32], PARAMS, alpha=np.pi / 4)
+    s, *_ = matching_path_series(ModeSchedule.frac_p(0.5), [16, 32], PARAMS, alpha=np.pi / 4)
     assert s.points[0] == (16, pytest.approx(64.0, abs=1e-10))
 
 
 def test_sumdiff_exponent_constant_schedule():
-    _, s = matching_path_series(ModeSchedule.constant(1), DEFAULT_P_SWEEP, PARAMS)
+    _, s, *_ = matching_path_series(ModeSchedule.constant(1), DEFAULT_P_SWEEP, PARAMS)
     assert abs(s.fitted_exponent + 2.5) < 0.1
+
+
+@pytest.mark.parametrize(
+    "sched", [ModeSchedule.constant(1), ModeSchedule.sqrt_p(), ModeSchedule.frac_p(0.25)], ids=lambda s: s.label
+)
+def test_tgap_exponent_matches_figure_envelope(sched):
+    """The T-gap max_k |T_{k+1} - T_k| of the surface pass scales as the
+    closed-form envelope of the figure's T-difference series; all three
+    series are the columns of the one diagnostics sweep."""
+    gp, sumdiff, tgap, table = matching_path_series(sched, DEFAULT_P_SWEEP, PARAMS)
+    _, envelope = tdiff_series(sched)
+    assert tgap.quantity_name == f"tgap[{sched.label}]"
+    for series, column in ((gp, table.g_p), (sumdiff, table.sum_difference), (tgap, table.t_gap)):
+        assert series.points == list(zip(DEFAULT_P_SWEEP, column))
+    assert abs(tgap.fitted_exponent - envelope.fitted_exponent) < 0.05
 
 
 def test_figure1_rows_and_monotonicity():

@@ -262,4 +262,6 @@ def test_equivalence_diagnostics_centroid_all_zero():
 
     tab = equivalence_diagnostics(family, [16, 32, 64], PARAMS)
     assert tab.overall_verdict == "vanishing"
-    assert all(r.t_gap_scaled == 0.0 and abs(r.g_scaled) < 1e-12 for r in tab.rows)
+    assert tab.bead_counts == (16, 32, 64)
+    assert np.all(tab.t_gap * np.sqrt(tab.bead_counts) == 0.0)
+    assert np.all(tab.g_p / np.sqrt(tab.bead_counts) < 1e-12)
